@@ -17,7 +17,9 @@ bool file_backed_scheme(const std::string& scheme) {
 }
 
 /// Identity of the file a source spec points at: resolved path plus mtime
-/// and size, so an edited log invalidates every cache keyed on it. A
+/// (to the nanosecond), size, and inode, so an edited log invalidates every
+/// cache keyed on it — including a same-size rewrite within one second, or
+/// a new file renamed over the old one. A
 /// missing file fingerprints as absent — construction never touches the
 /// filesystem, so the error surfaces later from load().
 void append_file_identity(std::ostream& os, const std::string& arg) {
@@ -25,8 +27,10 @@ void append_file_identity(std::ostream& os, const std::string& arg) {
   os << "path=" << path;
   struct stat st = {};
   if (::stat(path.c_str(), &st) == 0) {
-    os << "|mtime=" << static_cast<long long>(st.st_mtime)
-       << "|size=" << static_cast<long long>(st.st_size);
+    os << "|mtime=" << static_cast<long long>(st.st_mtim.tv_sec) << '.'
+       << static_cast<long long>(st.st_mtim.tv_nsec)
+       << "|size=" << static_cast<long long>(st.st_size)
+       << "|ino=" << static_cast<unsigned long long>(st.st_ino);
   } else {
     os << "|absent";
   }

@@ -8,8 +8,9 @@
 /// in generator-only fields a file-backed source ignores) fingerprint
 /// identically, while the same spec pointed at a log that changed on disk
 /// fingerprints differently. File-backed schemes (csv:/google:/slurm:)
-/// contribute the resolved path plus mtime and size; synthesizing schemes
-/// contribute the full generation tuple (seed, horizon, arrival rate, ...).
+/// contribute the resolved path plus nanosecond mtime, size, and inode;
+/// synthesizing schemes contribute the full generation tuple (seed,
+/// horizon, arrival rate, ...).
 ///
 /// BatchRunner keys its shared trace cache by fingerprint, and SimService
 /// keys its artifact LRU by spec hash + fingerprint, so both layers agree

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "api/batch.hpp"
 #include "api/runner.hpp"
 #include "api/scenario.hpp"
 #include "trace/records.hpp"
@@ -64,10 +65,7 @@ struct MetricValue {
 /// interval CDFs, MNOF/MTBF tables). `replay_view` selects
 /// api::make_replay_trace (the length-restricted sample-job set) instead of
 /// the unrestricted api::make_trace.
-struct TraceRequest {
-  api::TraceSpec spec;
-  bool replay_view = false;
-};
+using TraceRequest = api::TraceRequest;
 
 /// Inputs handed to Experiment::evaluate.
 struct EntryContext {
@@ -76,8 +74,8 @@ struct EntryContext {
   const std::vector<api::RunArtifact>& artifacts;
 
   /// Materialized traces for this entry's `traces`, in request order
-  /// (borrowed from the runner's dedup cache; a reference_wrapper binds
-  /// directly to `const trace::Trace&`).
+  /// (borrowed from the report batch's trace cache; a reference_wrapper
+  /// binds directly to `const trace::Trace&`).
   const std::vector<std::reference_wrapper<const trace::Trace>>& traces;
 
   /// Human-readable rendering sink (full tables and CDF series, exactly
@@ -111,7 +109,11 @@ struct Experiment {
   /// within one entry.
   std::vector<api::ScenarioSpec> specs;
 
-  /// Raw traces to materialize (deduplicated across entries by the runner).
+  /// Raw traces to materialize, shared with every other user of the same
+  /// trace in the report batch. An entry reads raw traces or replays
+  /// specs, not both (the registry rejects entries with both): a
+  /// trace-only entry is evaluated on the batch pool as soon as a worker
+  /// is free, while a replay entry waits for the batch's artifacts.
   std::vector<TraceRequest> traces;
 
   std::function<std::vector<MetricValue>(EntryContext&)> evaluate;

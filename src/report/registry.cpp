@@ -33,9 +33,13 @@ ExperimentRegistry::ExperimentRegistry() {
                    [](const Experiment& a, const Experiment& b) {
                      return a.id < b.id;
                    });
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (entries_[i - 1].id == entries_[i].id) {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (i > 0 && entries_[i - 1].id == entries_[i].id) {
       throw std::logic_error("duplicate experiment id: " + entries_[i].id);
+    }
+    if (!entries_[i].specs.empty() && !entries_[i].traces.empty()) {
+      throw std::logic_error("experiment " + entries_[i].id +
+                             " both replays specs and reads raw traces");
     }
   }
 }

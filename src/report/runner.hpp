@@ -4,13 +4,16 @@
 /// \brief Executes a subset of the experiment registry and collects metrics.
 ///
 /// The runner is the one place experiments meet the execution layer: it
-/// gathers every selected entry's ScenarioSpecs into a *single*
-/// api::BatchRunner call (so identical TraceSpecs are generated once across
-/// the whole report, not just within one entry — fig09/fig10/tab06 share
-/// the week trace), materializes TraceRequests through the same
-/// deduplicating cache, and then hands each entry its artifact slice for
-/// evaluation. Results are bit-identical regardless of --threads, because
-/// BatchRunner pins that property.
+/// runs the whole selected report as *one* api::BatchRunner pass. Every
+/// entry's ScenarioSpecs go into the batch (so identical TraceSpecs are
+/// generated once across the whole report, not just within one entry —
+/// fig09/fig10/tab06 share the week trace), and every trace-only entry
+/// (fig04/fig05/fig08/tab07, plus the model-only tables) is an evaluation
+/// item on the same pool, reading its traces from the batch's cache next
+/// to the replays that share them. Replay entries then evaluate their
+/// artifact slices. Each entry renders into its own buffer, emitted in
+/// registry order, so metrics and human text are bit-identical regardless
+/// of --threads.
 
 #include <functional>
 #include <iosfwd>
@@ -62,7 +65,11 @@ struct EntryResult {
   /// entries) — kept so the bench shims can honour --json/--csv exports.
   std::vector<api::RunArtifact> artifacts;
 
-  double wall_s = 0.0;  ///< replay + trace materialization + evaluation
+  /// Replay + trace materialization + evaluation. A trace-only entry's
+  /// materialization is a shared cache read: the trace's generation may be
+  /// paid (or still running) in another item or replay, so the figure
+  /// counts whatever this entry waited for, not the generation itself.
+  double wall_s = 0.0;
 };
 
 struct ReportResult {

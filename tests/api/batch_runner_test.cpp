@@ -1,10 +1,13 @@
 // BatchRunner: the determinism property (parallel == serial, bit-identical),
-// artifact ordering, trace sharing, error propagation — and ScenarioRunner
+// artifact ordering, trace sharing (across specs and evaluation items),
+// error propagation — and ScenarioRunner
 // equivalence with a hand-wired Simulation.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -159,6 +162,76 @@ TEST(BatchRunner, WorkerErrorsPropagateToCaller) {
   BatchOptions options;
   options.threads = 4;
   EXPECT_THROW((void)BatchRunner(options).run(specs), std::invalid_argument);
+}
+
+TEST(BatchRunner, ItemErrorsPropagateToCaller) {
+  BatchItem item;
+  item.traces = {{small_trace(4242), /*replay_view=*/false}};
+  item.run = [](TraceCache& cache) {
+    (void)cache.get_full(small_trace(4242));
+    throw std::runtime_error("evaluation failed");
+  };
+  BatchOptions options;
+  options.threads = 4;
+  EXPECT_THROW((void)BatchRunner(options).run(property_grid(), {}, {item}),
+               std::runtime_error);
+  options.threads = 1;
+  EXPECT_THROW((void)BatchRunner(options).run({}, {}, {item}),
+               std::runtime_error);
+}
+
+TEST(BatchRunner, ItemsAndSpecsShareOneTracePerKey) {
+  // Two items and one spec read the same TraceSpec (no replay limit, so the
+  // full trace and the replay view are one key). The items keep their
+  // traces alive, so a key dropped early would regenerate into a new object
+  // at a new address instead of reusing a freed one.
+  const TraceSpec shared = small_trace(4242);
+  std::mutex mutex;
+  std::vector<std::shared_ptr<const trace::Trace>> seen;
+  std::set<const trace::TaskRecord*> replayed;
+  auto record = [&](std::shared_ptr<const trace::Trace> trace) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    seen.push_back(std::move(trace));
+  };
+  BatchItem full_item;
+  full_item.traces = {{shared, /*replay_view=*/false}};
+  full_item.run = [&](TraceCache& cache) { record(cache.get_full(shared)); };
+  BatchItem replay_item;
+  replay_item.traces = {{shared, /*replay_view=*/true}};
+  replay_item.run = [&](TraceCache& cache) {
+    record(cache.get_replay(shared));
+  };
+
+  ScenarioSpec spec;
+  spec.name = "shared";
+  spec.trace = shared;
+  spec.policy = "formula3";
+  RunHooks hooks;
+  hooks.length_predictor = [&](const trace::TaskRecord& rec) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    replayed.insert(&rec);
+    return rec.length_s;
+  };
+
+  for (std::size_t threads : {1u, 3u}) {
+    seen.clear();
+    replayed.clear();
+    BatchOptions options;
+    options.threads = threads;
+    const auto artifacts =
+        BatchRunner(options).run({spec}, hooks, {full_item, replay_item});
+    ASSERT_EQ(artifacts.size(), 1u);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0].get(), seen[1].get()) << "threads=" << threads;
+    std::set<const trace::TaskRecord*> tasks;
+    for (const auto& job : seen[0]->jobs) {
+      for (const auto& task : job.tasks) tasks.insert(&task);
+    }
+    ASSERT_FALSE(replayed.empty());
+    for (const trace::TaskRecord* rec : replayed) {
+      EXPECT_EQ(tasks.count(rec), 1u) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(ScenarioRunner, MatchesHandWiredSimulation) {

@@ -8,11 +8,16 @@
 //     fingerprint / one cache key (the regression for the old
 //     spec-substring trace key, which split cursors on any textual
 //     difference);
-//   - content always invalidates: an edited trace file (size or mtime),
-//     a different synthetic seed, or a different replay restriction maps
-//     to a fresh fingerprint.
+//   - content always invalidates: an edited trace file (size, nanosecond
+//     mtime, or inode), a different synthetic seed, or a different replay
+//     restriction maps to a fresh fingerprint.
+
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -98,6 +103,38 @@ TEST(TraceFingerprintTest, EditedFileChangesTheFingerprint) {
     std::ofstream os(path, std::ios::app);
     os << "\n";
   }
+  EXPECT_NE(trace_fingerprint(spec, true), before);
+}
+
+TEST(TraceFingerprintTest, SameSecondRewriteChangesTheFingerprint) {
+  // A same-size rewrite within one second keeps the whole-second mtime and
+  // the size; only the nanosecond part tells the two files apart.
+  const std::string path = write_fixture("fp_nsec.csv", 9);
+  TraceSpec spec;
+  spec.source = "csv:" + path;
+  const timespec t0[2] = {{1700000000, 100}, {1700000000, 100}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), t0, 0), 0);
+  const std::string before = trace_fingerprint(spec, true);
+  EXPECT_EQ(trace_fingerprint(spec, true), before);  // stable when untouched
+
+  const timespec t1[2] = {{1700000000, 200}, {1700000000, 200}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), t1, 0), 0);
+  EXPECT_NE(trace_fingerprint(spec, true), before);
+}
+
+TEST(TraceFingerprintTest, RenamedOverFileChangesTheFingerprint) {
+  // A same-size replacement renamed over the original, with the original's
+  // timestamps: only the new inode tells the two files apart.
+  const std::string path = write_fixture("fp_inode.csv", 9);
+  const std::string replacement = write_fixture("fp_inode_new.csv", 9);
+  const timespec t[2] = {{1700000000, 100}, {1700000000, 100}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), t, 0), 0);
+  ASSERT_EQ(::utimensat(AT_FDCWD, replacement.c_str(), t, 0), 0);
+  TraceSpec spec;
+  spec.source = "csv:" + path;
+  const std::string before = trace_fingerprint(spec, true);
+
+  ASSERT_EQ(std::rename(replacement.c_str(), path.c_str()), 0);
   EXPECT_NE(trace_fingerprint(spec, true), before);
 }
 

@@ -1,12 +1,15 @@
 // The experiment registry: structural invariants (unique sorted ids,
 // complete descriptions, registry-valid scenario specs), agreement with the
-// checked-in expected-value document, and an end-to-end run of the cheap
-// model-only entries through the report runner.
+// checked-in expected-value document, an end-to-end run of the cheap
+// model-only entries through the report runner, and thread-count
+// invariance of a mixed trace-only + replay subset.
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "api/scenario.hpp"
@@ -165,6 +168,49 @@ TEST(ReportRunner, EvaluationIsDeterministic) {
   for (std::size_t i = 0; i < a.entries[0].metrics.size(); ++i) {
     EXPECT_EQ(a.entries[0].metrics[i].name, b.entries[0].metrics[i].name);
     EXPECT_EQ(a.entries[0].metrics[i].value, b.entries[0].metrics[i].value);
+  }
+}
+
+TEST(ReportRunner, MixedSubsetIsThreadCountInvariant) {
+  // Trace-only entries run as evaluation items on the batch pool, next to
+  // a replay entry and to each other; dispatch order depends on trace size,
+  // not selection order. None of that may reach the results: metrics, human
+  // text, and entry order must match the single-threaded run exactly.
+  const std::vector<std::string> only = {"fig05", "fig08", "sched01",
+                                         "tab07"};
+  auto run = [&only](std::size_t threads, std::string& human) {
+    std::ostringstream out;
+    report::ReportOptions options;
+    options.only = only;
+    options.threads = threads;
+    options.human = &out;
+    options.trace_override = [](api::TraceSpec& t) {
+      t.horizon_s = 4.0 * 3600.0;
+    };
+    auto result = report::run_report(options);
+    human = out.str();
+    return result;
+  };
+  std::string serial_human, parallel_human;
+  const auto serial = run(1, serial_human);
+  const auto parallel = run(4, parallel_human);
+  ASSERT_EQ(serial.entries.size(), only.size());
+  ASSERT_EQ(parallel.entries.size(), only.size());
+  EXPECT_FALSE(serial_human.empty());
+  EXPECT_EQ(serial_human, parallel_human);
+  for (std::size_t i = 0; i < only.size(); ++i) {
+    const auto& a = serial.entries[i];
+    const auto& b = parallel.entries[i];
+    EXPECT_EQ(a.experiment->id, only[i]);
+    EXPECT_EQ(b.experiment->id, only[i]);
+    EXPECT_FALSE(a.metrics.empty()) << only[i];
+    ASSERT_EQ(a.metrics.size(), b.metrics.size()) << only[i];
+    for (std::size_t m = 0; m < a.metrics.size(); ++m) {
+      EXPECT_EQ(a.metrics[m].name, b.metrics[m].name);
+      EXPECT_EQ(a.metrics[m].value, b.metrics[m].value)
+          << only[i] << "/" << a.metrics[m].name;
+    }
+    EXPECT_EQ(a.artifacts.size(), b.artifacts.size()) << only[i];
   }
 }
 
