@@ -48,7 +48,6 @@ double expected_jobs(const TraceSpec& spec) {
 /// The cache reads one spec makes, decided once before dispatch so the
 /// planned use counts and the worker's requests cannot disagree.
 struct SpecReads {
-  bool stream = false;  ///< run_streamed: per-worker cursor, no cache
   std::optional<TraceRequest> replay;
   std::optional<TraceRequest> estimation;
   bool estimate_on_replay = false;  ///< estimation_trace = replay_trace
@@ -57,12 +56,11 @@ struct SpecReads {
 SpecReads reads_of(const ScenarioSpec& spec, const RunHooks& hooks,
                    const BatchOptions& options) {
   SpecReads reads;
-  // Streaming path: a per-worker stream cursor replaces the whole-trace
-  // cache entry when the source actually streams lazily (otherwise the
-  // cache's memoized parse is the better deal).
+  // Streaming: the run's own stream cursor replaces the whole-trace cache
+  // entry when the source actually streams lazily (otherwise the cache's
+  // memoized parse is the better deal).
   if (options.stream_traces && hooks.replay_trace == nullptr &&
       spec_streams_lazily(spec.trace)) {
-    reads.stream = true;
     return reads;
   }
   if (!options.share_traces) return reads;
@@ -179,20 +177,6 @@ std::vector<RunArtifact> BatchRunner::run(
   }
   if (threads > work) threads = work;
 
-  // Worker-oversubscription guard: a spec may ask for sharded replay
-  // (shards=K spawns K-1 planning threads inside the run). With multiple
-  // batch workers, cap per-run shards so batch threads x shards stays
-  // within the machine; shard count never changes results, so the clamp is
-  // invisible in the artifacts (the spec echo keeps the requested value).
-  std::uint32_t shard_limit = hooks.shard_limit;
-  if (threads > 1) {
-    std::size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    const auto cap = static_cast<std::uint32_t>(
-        hw / threads > 1 ? hw / threads : 1);
-    if (shard_limit == 0 || cap < shard_limit) shard_limit = cap;
-  }
-
   // Plan: what every spec reads, the use count of every cache key, and the
   // dispatch order. Work index w < items.size() is item w, the rest spec
   // w - items.size(), so the stable sort puts items first on ties.
@@ -237,18 +221,11 @@ std::vector<RunArtifact> BatchRunner::run(
 
   // Pins the cached traces one spec reads for the duration of its run.
   auto run_spec = [&](std::size_t i, sim::ReplayWorkspace& workspace) {
-    const ScenarioSpec& spec = specs[i];
     const SpecReads& r = reads[i];
     RunHooks run_hooks = hooks;
     // Always the worker's own pool: a caller-supplied workspace would be
     // shared across workers and race.
     run_hooks.workspace = &workspace;
-    run_hooks.shard_limit = shard_limit;
-    if (r.stream) {
-      artifacts[i] = ScenarioRunner(spec).run_streamed(
-          run_hooks, options_.stream_batch_jobs);
-      return;
-    }
     std::shared_ptr<const trace::Trace> replay, estimation;
     if (r.replay) {
       replay = cache.get(*r.replay);
@@ -261,7 +238,8 @@ std::vector<RunArtifact> BatchRunner::run(
       estimation = cache.get(*r.estimation);
       run_hooks.estimation_trace = estimation.get();
     }
-    artifacts[i] = run_scenario(spec, run_hooks);
+    artifacts[i] =
+        ScenarioRunner(specs[i]).run(run_hooks, options_.stream_batch_jobs);
     if (r.replay) cache.release(*r.replay);
     if (r.estimation) cache.release(*r.estimation);
   };

@@ -57,7 +57,8 @@ struct RunArtifact {
 /// Non-serializable extension points. All pointers are borrowed and must
 /// outlive the run() call.
 struct RunHooks {
-  /// Replay this trace instead of generating one from spec.trace.
+  /// Replay this trace instead of reading spec.trace. The replay borrows
+  /// its records in place (sim::TraceJobSource), so nothing is copied.
   const trace::Trace* replay_trace = nullptr;
 
   /// Estimate failure statistics from this trace instead of the one implied
@@ -77,12 +78,6 @@ struct RunHooks {
   /// can never change results (pinned by tests/api/determinism_test.cpp).
   /// Not thread-safe: one workspace per concurrent run.
   sim::ReplayWorkspace* workspace = nullptr;
-
-  /// Upper bound on the spec's shard count for this run; 0 = no cap.
-  /// BatchRunner sets it so batch threads x per-run shards never
-  /// oversubscribes the machine. Clamping is safe because shard count
-  /// never changes results (the spec echo keeps the requested value).
-  std::uint32_t shard_limit = 0;
 };
 
 /// Materializes the unrestricted trace of `spec` (estimation view): the
@@ -103,32 +98,20 @@ class ScenarioRunner {
 
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
 
-  /// Runs the scenario, picking the replay shape automatically: the
-  /// streaming path whenever the spec's source streams lazily
-  /// (spec_streams_lazily) and no caller-materialized replay trace was
-  /// handed in; the materialized path otherwise. The two paths are
-  /// bit-identical (pinned by tests/api/stream_determinism_test.cpp), so
-  /// the choice only moves the memory/IO shape, never results. Reusable
-  /// and const: each call builds a fresh Simulation.
-  [[nodiscard]] RunArtifact run(const RunHooks& hooks = {}) const;
-
-  /// Classic whole-trace replay: materializes the replay set (or borrows
-  /// hooks.replay_trace) and feeds the spec's estimation view to the
-  /// predictor builder from the materialized trace.
-  [[nodiscard]] RunArtifact run_materialized(const RunHooks& hooks = {}) const;
-
-  /// Streaming replay of the same scenario, bit-identical to
-  /// run_materialized(): the replay set is pulled chunk-by-chunk and
-  /// admitted lazily (sim::Simulation::run_stream), never materialized,
-  /// and *every* predictor — builtin or registered — estimates through the
-  /// PredictorBuilder observation contract fed from a SharedTraceCursor
-  /// (oracle skips the estimation pass entirely; single-pass sources serve
-  /// estimation and replay from one parse). With a lazily-streaming source
-  /// memory is therefore bounded by the active task set for any predictor,
+  /// Runs the scenario: one estimation pass, then one replay from a
+  /// sim::JobSource admitted in chunks of `batch_jobs`. The source borrows
+  /// hooks.replay_trace in place when the caller handed one in; otherwise
+  /// the replay set streams from a SharedTraceCursor over spec.trace and is
+  /// never materialized. *Every* predictor — builtin or registered —
+  /// estimates through the PredictorBuilder observation contract (oracle
+  /// skips the estimation pass entirely; single-pass sources serve
+  /// estimation and replay from one parse), so with a lazily-streaming
+  /// source memory is bounded by the active task set for any predictor,
   /// which is what lets a month-scale trace replay in a fixed footprint.
-  /// hooks.replay_trace delegates to run_materialized() — a
-  /// caller-materialized trace has nothing left to stream.
-  [[nodiscard]] RunArtifact run_streamed(
+  /// Both sources give bit-identical results (pinned by
+  /// tests/api/stream_determinism_test.cpp). Reusable and const: each call
+  /// builds a fresh Simulation.
+  [[nodiscard]] RunArtifact run(
       const RunHooks& hooks = {},
       std::size_t batch_jobs = sim::Simulation::kDefaultBatchJobs) const;
 

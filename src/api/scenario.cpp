@@ -1,5 +1,6 @@
 #include "api/scenario.hpp"
 
+#include <cmath>
 #include <limits>
 #include <locale>
 #include <sstream>
@@ -123,11 +124,18 @@ bool apply_trace_key(TraceSpec& t, const std::string& key,
 
 double parse_checked_double(const std::string& label,
                             const std::string& text) {
+  double v = 0.0;
   try {
-    return trace::csv::parse_double(label, text, 0);
+    v = trace::csv::parse_double(label, text, 0);
   } catch (const std::runtime_error& e) {
     throw std::invalid_argument(e.what());
   }
+  // strtod accepts "nan" in every spelling; no spec field means anything
+  // by it, and a NaN slips past every later range comparison.
+  if (std::isnan(v)) {
+    throw std::invalid_argument(label + " = '" + text + "': not a number");
+  }
+  return v;
 }
 
 std::uint64_t parse_checked_u64(const std::string& label,
@@ -228,7 +236,6 @@ std::string serialize(const ScenarioSpec& spec) {
      << "storage_noise=" << format_double(spec.storage_noise) << '\n'
      << "sim_seed=" << spec.sim_seed << '\n'
      << "detection_delay_s=" << format_double(spec.detection_delay_s) << '\n'
-     << "shards=" << spec.shards << '\n'
      << "cluster.hosts=" << spec.cluster.hosts << '\n'
      << "cluster.vms_per_host=" << spec.cluster.vms_per_host << '\n'
      << "cluster.vm_memory_mb=" << format_double(spec.cluster.vm_memory_mb)
@@ -284,13 +291,6 @@ ScenarioSpec parse_scenario(const std::string& text) {
       spec.sim_seed = parse_u64(key, value);
     } else if (key == "detection_delay_s") {
       spec.detection_delay_s = parse_double(key, value);
-    } else if (key == "shards") {
-      const std::uint64_t n = parse_u64(key, value);
-      if (n < 1 || n > 4096) {
-        throw std::invalid_argument("scenario key 'shards' = '" + value +
-                                    "': must be in [1, 4096]");
-      }
-      spec.shards = static_cast<std::uint32_t>(n);
     } else if (key == "cluster.hosts") {
       spec.cluster.hosts = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "cluster.vms_per_host") {
@@ -327,7 +327,7 @@ bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) noexcept {
          a.adaptation == b.adaptation && a.shared_device == b.shared_device &&
          a.storage_noise == b.storage_noise && a.sim_seed == b.sim_seed &&
          a.detection_delay_s == b.detection_delay_s &&
-         a.shards == b.shards && a.cluster.hosts == b.cluster.hosts &&
+         a.cluster.hosts == b.cluster.hosts &&
          a.cluster.vms_per_host == b.cluster.vms_per_host &&
          a.cluster.vm_memory_mb == b.cluster.vm_memory_mb && a.obs == b.obs;
 }
@@ -355,7 +355,6 @@ sim::SimConfig to_sim_config(const ScenarioSpec& spec) {
   cfg.storage_noise = spec.storage_noise;
   cfg.seed = spec.sim_seed;
   cfg.detection_delay_s = spec.detection_delay_s;
-  cfg.shards = spec.shards;
   cfg.probe_interval_s = spec.obs.probe_interval_s;
   cfg.collect_stats = spec.obs.stats;
   return cfg;

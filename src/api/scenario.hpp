@@ -102,13 +102,6 @@ struct ScenarioSpec {
   std::uint64_t sim_seed = 0x5eed;
   double detection_delay_s = 0.0;
 
-  /// Shard count for intra-simulation parallelism (SimConfig::shards): 1 =
-  /// serial replay, K > 1 adds K-1 planning worker threads. Results are
-  /// bit-identical for every value — pinned by the shard-invariance grid —
-  /// so shards is a performance knob, not an experiment parameter. Must be
-  /// in [1, 4096].
-  std::uint32_t shards = 1;
-
   sim::ClusterConfig cluster = {};
 
   /// Observability configuration (counters / probes / tracing) — see
@@ -140,7 +133,8 @@ EstimationSource parse_estimation(const std::string& token);
 // (trailing garbage, unsigned wraparound of negative input) lives in one
 // place.
 
-/// Parses a double, rejecting empty input and trailing garbage. Throws
+/// Parses a double, rejecting empty input, trailing garbage, and NaN in any
+/// spelling ("<label> = '<text>': not a number"). Throws
 /// std::invalid_argument naming `label`.
 double parse_checked_double(const std::string& label, const std::string& text);
 
@@ -186,14 +180,13 @@ auto with_key_context(const char* key, const std::string& value, Fn&& fn) {
 //   shared_device=local_ramdisk|shared_nfs|dm_nfs
 //   storage_noise=<double>                sim_seed=<u64>
 //   detection_delay_s=<double>
-//   shards=<u32 in [1,4096]>              1 = serial; K>1 = K-1 planning
-//                                         workers (results bit-identical)
 //   cluster.hosts=<u64> cluster.vms_per_host=<u64> cluster.vm_memory_mb=<double>
 //   obs=<obs spec>                        '+'-joined features, e.g.
 //                                         stats+probe:60+trace:out.json
 //                                         (grammar in obs/spec.hpp)
 //
-// Bools serialize as true/false (parse also accepts 1/0). Unlisted keys
+// Doubles reject every NaN spelling (nan, -NAN, nan(0x1), ...). Bools
+// serialize as true/false (parse also accepts 1/0). Unlisted keys
 // keep their defaults on parse; unknown keys throw — so an artifact from a
 // newer schema fails loudly instead of silently dropping a field.
 

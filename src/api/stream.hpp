@@ -3,7 +3,7 @@
 /// \file stream.hpp
 /// \brief Streaming view of a TraceSpec: the pull-based counterpart of
 /// api::make_trace / api::make_replay_trace, plus the shared estimation+
-/// replay cursor the streaming runner feeds predictors from.
+/// replay cursor ScenarioRunner feeds predictors from.
 ///
 /// open_trace_stream() resolves the spec's source (the synthetic generator
 /// or the ingest registry) to an ingest::TaskStream and applies the spec's
@@ -60,7 +60,8 @@ ingest::StreamPtr open_trace_stream(const TraceSpec& spec, bool replay_view);
 
 /// True when the spec's source yields jobs without materializing the whole
 /// workload (streaming replay then bounds memory by the active set).
-/// ScenarioRunner::run uses this to pick the streaming path.
+/// BatchRunner (stream_traces) uses this to stream a run instead of caching
+/// its trace.
 bool spec_streams_lazily(const TraceSpec& spec);
 
 /// One estimation-then-replay pass over a TraceSpec's source, counting how
@@ -119,12 +120,11 @@ class StreamJobSource final : public sim::JobSource {
  public:
   explicit StreamJobSource(ingest::TaskStream& stream) : stream_(&stream) {}
 
-  std::size_t next_jobs(std::size_t max_jobs,
-                        std::vector<trace::JobRecord>& out) override {
-    const std::size_t n = stream_->next_batch(max_jobs, out);
+  std::size_t next_jobs(std::size_t max_jobs, sim::JobBatch& out) override {
+    const std::size_t n = stream_->next_batch(max_jobs, out.owned);
     jobs_ += n;
-    for (std::size_t i = out.size() - n; i < out.size(); ++i) {
-      tasks_ += out[i].tasks.size();
+    for (std::size_t i = out.owned.size() - n; i < out.owned.size(); ++i) {
+      tasks_ += out.owned[i].tasks.size();
     }
     return n;
   }

@@ -9,7 +9,7 @@
 /// instead of a source materializing a full trace::Trace, consumers *pull*
 /// arrival-ordered job chunks on demand, so the replay engine can admit
 /// work lazily and keep memory bounded by the active set
-/// (sim::Simulation::run_stream), not the trace.
+/// (sim::Simulation::run), not the trace.
 ///
 /// The TaskStream contract:
 ///   - next_batch(n, out) appends up to n jobs to `out` and returns the

@@ -124,9 +124,6 @@ extern Stat svc_cache_hits;           ///< SimService artifact-cache hits
 extern Stat svc_cache_misses;         ///< SimService artifact-cache misses
 extern Stat svc_snapshot_resumes;     ///< what-if runs resumed from snapshots
 extern Stat svc_snapshot_bytes;       ///< parked snapshot footprint (gauge)
-extern Stat shard_plans_requested;    ///< speculative plans queued (committer)
-extern Stat shard_workers;            ///< planning workers spawned (gauge)
-extern Stat shard_worker_plan_ns;     ///< host ns computing plans off-thread
 }  // namespace st
 
 }  // namespace cloudcr::obs

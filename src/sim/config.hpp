@@ -70,13 +70,6 @@ struct SimConfig {
   /// build with the instrumentation hooks compiled in, -DCLOUDCR_OBS=ON).
   bool collect_stats = false;
 
-  /// Shard count for intra-simulation parallelism. 1 = serial replay; K > 1
-  /// runs the committing shard plus K-1 planning workers that speculatively
-  /// precompute task-local transitions (sim/shard.hpp). Results are
-  /// bit-identical for every value — shards only changes wall time. Must be
-  /// >= 1; validated by the Simulation constructor.
-  std::uint32_t shards = 1;
-
   /// Optional dual-clock trace writer (borrowed, must outlive the run; the
   /// ScenarioRunner owns it). Null = tracing off. Ignored — with a stderr
   /// notice at the api layer — when the hooks are compiled out.

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "obs/trace_writer.hpp"
-#include "sim/shard.hpp"
 
 namespace cloudcr::sim {
 
@@ -29,12 +28,7 @@ Simulation::Simulation(SimConfig config, const core::CheckpointPolicy& policy,
   if (!predictor_) {
     throw std::invalid_argument("Simulation: predictor must be callable");
   }
-  if (config.shards == 0) {
-    throw std::invalid_argument("Simulation: shards must be >= 1");
-  }
 }
-
-Simulation::~Simulation() = default;
 
 storage::StorageBackend* Simulation::backend_for(storage::DeviceKind kind) {
   return kind == storage::DeviceKind::kLocalRamdisk ? local_backend_.get()
@@ -44,7 +38,6 @@ storage::StorageBackend* Simulation::backend_for(storage::DeviceKind kind) {
 void Simulation::begin_run() {
   // Reset every pooled component to its just-constructed state, so a reused
   // workspace (or a second run() call) is bit-identical to a fresh engine.
-  stop_shard_runtime();  // defensive: an exception may have skipped end_run
   engine_.reset();
   // Stats runs restart from pristine calendar tuning so tuning counters
   // (sim.queue_rebuilds) are spec-deterministic — a pooled queue otherwise
@@ -64,14 +57,7 @@ void Simulation::begin_run() {
   shared_backend_ = storage::make_backend(config_.shared_kind, rng_,
                                           config_.storage_noise,
                                           config_.cluster.hosts);
-  plan_env_.config = &config_;
-  plan_env_.policy = &policy_;
-  plan_env_.predictor = &predictor_;
-  plan_env_.local_backend = local_backend_.get();
-  plan_env_.shared_backend = shared_backend_.get();
-  plan_env_.collect_stats = config_.collect_stats;
   result_ = SimResult{};
-  release_rows_ = false;
   policy_override_ = nullptr;
 
   // The scheduling stage engages only for a non-pass-through policy; fcfs
@@ -126,101 +112,7 @@ SimResult Simulation::end_run() {
     }
   }
   CLOUDCR_OBS_STMT(flush_stats());
-  stop_shard_runtime();
   return std::move(result_);
-}
-
-// -- sharded replay -----------------------------------------------------------
-
-void Simulation::start_shard_runtime() {
-  if (config_.shards <= 1) return;
-  shard_rt_ = std::make_unique<ShardRuntime>(config_.shards, plan_env_);
-}
-
-void Simulation::stop_shard_runtime() { shard_rt_.reset(); }
-
-void Simulation::apply_controller_plan(std::size_t task_idx,
-                                       ControllerPlan& plan) {
-  tasks_.controller[task_idx].emplace(*plan.ctrl);
-  tasks_.backend[task_idx] = backend_for(plan.device);
-  tasks_.ckpt_price[task_idx] = plan.price;
-  tasks_.restart_price_s[task_idx] = plan.restart_s;
-}
-
-void Simulation::maybe_publish_continuation(std::size_t task_idx,
-                                            double fire_time) {
-  if (shard_rt_ == nullptr) return;
-  // Plans exist only for devices commit_pure_ckpt_run handles, and never
-  // under a tracer (the compressed worker run cannot emit the spans the
-  // inline path would).
-  const storage::StorageBackend* backend = tasks_.backend[task_idx];
-  if (backend == nullptr || !backend->begin_is_pure() ||
-      backend->completion_affects_pricing() || config_.tracer != nullptr) {
-    return;
-  }
-  shard_rt_->publish_continuation_plan(
-      task_idx, fire_time, tasks_.hot[task_idx], *tasks_.controller[task_idx],
-      tasks_.acct[task_idx], tasks_.ckpt_price[task_idx],
-      tasks_.length_s[task_idx], tasks_.rec[task_idx]->priority_change_time);
-}
-
-void Simulation::commit_pure_ckpt_run(std::size_t task_idx,
-                                      storage::StorageBackend& backend) {
-  const std::size_t host =
-      cluster_.vm(static_cast<VmId>(tasks_.vm[task_idx])).host();
-  CkptSeqResult seq;
-  ContinuationPlan plan;
-  if (shard_rt_ != nullptr &&
-      shard_rt_->consume_continuation_plan(task_idx, engine_.now(), plan)) {
-    // The worker ran the whole sequence from the frozen arm-time state (plus
-    // the same sync_row_clock the wake just performed inline): seat its
-    // results. Plans are never published under a tracer, so no spans are
-    // owed here.
-    tasks_.hot[task_idx] = plan.row;
-    tasks_.controller[task_idx].emplace(*plan.ctrl);
-    tasks_.acct[task_idx] = plan.acct;
-    seq = plan.seq;
-  } else {
-#if CLOUDCR_OBS_ENABLED
-    struct TraceAdapter final : CkptSeqTrace {
-      Simulation* sim = nullptr;
-      std::size_t idx = 0;
-      void end_span(double t) override { sim->trace_end_span(idx, t); }
-      void begin_span(double t) override {
-        sim->trace_begin_span(idx, t, false);
-      }
-    };
-    TraceAdapter adapter;
-    adapter.sim = this;
-    adapter.idx = task_idx;
-    CkptSeqTrace* tr = config_.tracer != nullptr ? &adapter : nullptr;
-#else
-    CkptSeqTrace* tr = nullptr;
-#endif
-    seq = run_ckpt_sequence(tasks_.hot[task_idx],
-                            *tasks_.controller[task_idx],
-                            tasks_.acct[task_idx], tasks_.ckpt_price[task_idx],
-                            tasks_.length_s[task_idx],
-                            tasks_.rec[task_idx]->priority_change_time,
-                            engine_.now(), tr);
-  }
-
-  // Replay the device-op bookkeeping the compressed run skipped. The legacy
-  // loop interleaves begin/end within each iteration but never carries an
-  // open op across iterations on these devices, so sequential begin/end
-  // pairs evolve the op slab identically.
-  for (std::uint32_t i = 0; i < seq.ops; ++i) {
-    const auto ticket =
-        backend.begin_priced(tasks_.ckpt_price[task_idx], host);
-    backend.end_checkpoint(ticket.op_id);
-  }
-
-  CLOUDCR_OBS_STMT(tally_.ckpt_compressed += seq.dones);
-  CLOUDCR_OBS_STMT(if (seq.evented) ++tally_.ckpt_evented);
-  const auto idx = static_cast<std::uint32_t>(task_idx);
-  const Wakeup kind = seq.wake_kind;
-  tasks_.pending_event[task_idx] = engine_.schedule_at(
-      seq.wake_time, [this, idx, kind] { wake(idx, kind); });
 }
 
 // -- observability ------------------------------------------------------------
@@ -287,14 +179,6 @@ void Simulation::flush_stats() {
   st::ingest_stream_batches.add(tally_.stream_batches);
   st::storage_opslab_high_water.add(local_backend_->ops_high_water());
   st::storage_opslab_high_water.add(shared_backend_->ops_high_water());
-  if (shard_rt_ != nullptr) {
-    // plans_requested is a pure function of the serial replay (publish
-    // attempts are counted whether or not a worker got to them), so the
-    // deterministic registry stays shard-count-invariant; worker-side
-    // effort lands in the shard.worker_plan_ns timer instead.
-    st::shard_plans_requested.add(shard_rt_->plans_requested());
-    st::shard_workers.add(shard_rt_->workers());
-  }
 }
 
 namespace {
@@ -381,13 +265,6 @@ std::size_t Simulation::alloc_task_span(std::uint32_t n_tasks) {
 
 void Simulation::retire_job(std::uint32_t job_slot) {
   JobState& job = ws_.jobs[job_slot];
-  if (shard_rt_ != nullptr) {
-    // Defense-in-depth: every plan was consumed or canceled by now (rows
-    // only retire terminal), but recycled rows must never inherit one.
-    for (std::size_t i = 0; i < job.n_tasks; ++i) {
-      shard_rt_->cancel_plan(job.first_task + i);
-    }
-  }
   if (job.n_tasks > 0) {
     ws_.free_spans[job.n_tasks].push_back(
         static_cast<std::uint32_t>(job.first_task));
@@ -440,49 +317,71 @@ void Simulation::admit_job(const trace::JobRecord& rec,
   sched_pump();
 }
 
-SimResult Simulation::run(const trace::Trace& trace) {
-  begin_run();
-  start_shard_runtime();
-  const std::size_t n_tasks = trace.task_count();
-  ws_.jobs.reserve(trace.jobs.size());
-  tasks_.reserve(n_tasks);
-  ws_.pending.reserve(n_tasks);
-  engine_.reserve(n_tasks + 64);
-  result_.outcomes.reserve(trace.jobs.size());
-
-  // Admission order: stable by arrival — exactly the pop order of the old
-  // engine, which scheduled every arrival event up front (time order, ties
-  // in trace order). Real sources emit arrival-sorted jobs, so the common
-  // case is the identity permutation and skips the sort (and its scratch
-  // allocation) entirely; only hand-crafted unsorted traces pay it.
-  const bool sorted = std::is_sorted(
-      trace.jobs.begin(), trace.jobs.end(),
-      [](const trace::JobRecord& a, const trace::JobRecord& b) {
-        return a.arrival_s < b.arrival_s;
-      });
-  if (!sorted) {
-    ws_.admission_order.resize(trace.jobs.size());
-    for (std::size_t j = 0; j < trace.jobs.size(); ++j) {
-      ws_.admission_order[j] = static_cast<std::uint32_t>(j);
-    }
-    std::stable_sort(
-        ws_.admission_order.begin(), ws_.admission_order.end(),
-        [&trace](std::uint32_t a, std::uint32_t b) {
-          return trace.jobs[a].arrival_s < trace.jobs[b].arrival_s;
-        });
+TraceJobSource::TraceJobSource(const trace::Trace& trace) : trace_(trace) {
+  const auto by_arrival = [](const trace::JobRecord& a,
+                             const trace::JobRecord& b) {
+    return a.arrival_s < b.arrival_s;
+  };
+  if (std::is_sorted(trace.jobs.begin(), trace.jobs.end(), by_arrival)) {
+    return;
   }
+  order_.resize(trace.jobs.size());
+  for (std::size_t j = 0; j < order_.size(); ++j) {
+    order_[j] = static_cast<std::uint32_t>(j);
+  }
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return by_arrival(trace.jobs[a], trace.jobs[b]);
+                   });
+}
 
+std::size_t TraceJobSource::next_jobs(std::size_t max_jobs, JobBatch& out) {
+  const std::size_t n = std::min(max_jobs, trace_.jobs.size() - next_);
+  for (std::size_t j = next_; j < next_ + n; ++j) {
+    out.borrowed.push_back(&trace_.jobs[order_.empty() ? j : order_[j]]);
+  }
+  next_ += n;
+  return n;
+}
+
+SimResult Simulation::admit_all(JobSource& source, std::size_t batch_jobs,
+                                std::uint64_t skip, SimSnapshot* capture,
+                                double capture_at) {
+  if (batch_jobs == 0) batch_jobs = 1;
 #if CLOUDCR_OBS_ENABLED
   const auto obs_adm_t0 = std::chrono::steady_clock::now();
 #endif
-  for (std::size_t j = 0; j < trace.jobs.size(); ++j) {
-    const trace::JobRecord& rec =
-        trace.jobs[sorted ? j : ws_.admission_order[j]];
+  std::uint64_t consumed = 0;
+  const auto admit_next = [&](const trace::JobRecord& rec,
+                              trace::JobRecord* owned) {
+    // Resume discards the jobs its snapshot already admitted. Discarded
+    // records still count in the source's accounting, so trace_jobs and
+    // trace_tasks match a full run.
+    if (consumed++ < skip) return;
+    // Capture at the arrival boundary, before this record's engine drain:
+    // resume re-enters the loop at exactly this point. Capturing only
+    // copies state, so the ongoing run is not perturbed.
+    if (capture != nullptr && rec.arrival_s >= capture_at) {
+      capture_snapshot(*capture, consumed - 1);
+      capture = nullptr;
+    }
     if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
     result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
     engine_.advance_to(rec.arrival_s);
-    admit_job(rec, nullptr);
+    admit_job(rec, owned);
+  };
+  while (true) {
+    ws_.chunk.clear();
+    if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
+    CLOUDCR_OBS_STMT(if (!ws_.chunk.owned.empty()) ++tally_.stream_batches);
+    for (auto& rec : ws_.chunk.owned) admit_next(rec, &rec);
+    for (const trace::JobRecord* rec : ws_.chunk.borrowed) {
+      admit_next(*rec, nullptr);
+    }
   }
+  // A fork beyond the last arrival snapshots the fully-admitted state; the
+  // resumed run then only replays the final drain.
+  if (capture != nullptr) capture_snapshot(*capture, consumed);
 #if CLOUDCR_OBS_ENABLED
   if (config_.tracer != nullptr) {
     config_.tracer->host_span("admission", obs_adm_t0,
@@ -492,34 +391,9 @@ SimResult Simulation::run(const trace::Trace& trace) {
   return end_run();
 }
 
-SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs) {
+SimResult Simulation::run(JobSource& source, std::size_t batch_jobs) {
   begin_run();
-  start_shard_runtime();
-  release_rows_ = true;  // finish_job recycles rows, incl. in the final drain
-  if (batch_jobs == 0) batch_jobs = 1;
-#if CLOUDCR_OBS_ENABLED
-  const auto obs_adm_t0 = std::chrono::steady_clock::now();
-#endif
-  while (true) {
-    ws_.chunk.clear();
-    if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
-    CLOUDCR_OBS_STMT(++tally_.stream_batches);
-    for (auto& rec : ws_.chunk) {
-      if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
-      result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
-      engine_.advance_to(rec.arrival_s);
-      admit_job(rec, &rec);
-    }
-  }
-#if CLOUDCR_OBS_ENABLED
-  if (config_.tracer != nullptr) {
-    config_.tracer->host_span("admission", obs_adm_t0,
-                              std::chrono::steady_clock::now());
-  }
-#endif
-  SimResult result = end_run();
-  release_rows_ = false;
-  return result;
+  return admit_all(source, batch_jobs, 0, nullptr, 0.0);
 }
 
 // -- snapshot / restore -------------------------------------------------------
@@ -630,7 +504,6 @@ void Simulation::restore_snapshot(const SimSnapshot& snap) {
       tasks_.rec[job.first_task + i] = &job.owned[i];
     }
   }
-  release_rows_ = true;  // snapshots exist only on the streaming path
   sched_active_ =
       config_.scheduler != nullptr && !config_.scheduler->pass_through();
   total_capacity_mb_ = static_cast<double>(config_.cluster.hosts) *
@@ -659,87 +532,22 @@ void Simulation::restore_snapshot(const SimSnapshot& snap) {
 #endif
 }
 
-SimResult Simulation::run_stream_snapshot(JobSource& source, double fork_at,
-                                          SimSnapshot& out,
-                                          std::size_t batch_jobs) {
-  // Snapshots freeze the run at an arrival boundary; a sharded run has
-  // in-flight speculative plans there, which a snapshot cannot capture.
-  // Serial capture + serial resume produce the same bytes a sharded run
-  // would anyway (shards never change results).
-  if (config_.shards > 1) {
-    throw std::invalid_argument(
-        "Simulation::run_stream_snapshot: snapshots require scenario key "
-        "'shards=1' (got shards=" +
-        std::to_string(config_.shards) + ")");
-  }
+SimResult Simulation::run_snapshot(JobSource& source, double fork_at,
+                                   SimSnapshot& out, std::size_t batch_jobs) {
   begin_run();
-  release_rows_ = true;
-  if (batch_jobs == 0) batch_jobs = 1;
-  std::uint64_t admitted = 0;
-  bool taken = false;
-  while (true) {
-    ws_.chunk.clear();
-    if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
-    CLOUDCR_OBS_STMT(++tally_.stream_batches);
-    for (auto& rec : ws_.chunk) {
-      // Capture at the arrival boundary, before this record's engine drain:
-      // resume_stream re-enters the loop at exactly this point. Capturing
-      // only copies state, so the ongoing run is not perturbed.
-      if (!taken && rec.arrival_s >= fork_at) {
-        capture_snapshot(out, admitted);
-        taken = true;
-      }
-      if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
-      result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
-      engine_.advance_to(rec.arrival_s);
-      admit_job(rec, &rec);
-      ++admitted;
-    }
-  }
-  // A fork beyond the last arrival snapshots the fully-admitted state; the
-  // resumed run then only replays the final drain.
-  if (!taken) capture_snapshot(out, admitted);
-  SimResult result = end_run();
-  release_rows_ = false;
-  return result;
+  return admit_all(source, batch_jobs, 0, &out, fork_at);
 }
 
-SimResult Simulation::resume_stream(const SimSnapshot& snap, JobSource& source,
-                                    const ResumeOverrides& overrides,
-                                    std::size_t batch_jobs) {
-  if (config_.shards > 1) {
-    throw std::invalid_argument(
-        "Simulation::resume_stream: snapshot resume requires scenario key "
-        "'shards=1' (got shards=" +
-        std::to_string(config_.shards) + ")");
-  }
+SimResult Simulation::resume(const SimSnapshot& snap, JobSource& source,
+                             const ResumeOverrides& overrides,
+                             std::size_t batch_jobs) {
   restore_snapshot(snap);
   policy_override_ = overrides.policy;
   if (overrides.detection_delay_s) {
     config_.detection_delay_s = *overrides.detection_delay_s;
   }
-  if (batch_jobs == 0) batch_jobs = 1;
-  // The source replays the whole trace deterministically; discard the jobs
-  // the snapshot already admitted. Discarded records still count in the
-  // caller's source accounting, so trace_jobs/trace_tasks match a full run.
-  std::uint64_t to_skip = snap.jobs_admitted;
-  while (true) {
-    ws_.chunk.clear();
-    if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
-    CLOUDCR_OBS_STMT(++tally_.stream_batches);
-    for (auto& rec : ws_.chunk) {
-      if (to_skip > 0) {
-        --to_skip;
-        continue;
-      }
-      if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
-      result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
-      engine_.advance_to(rec.arrival_s);
-      admit_job(rec, &rec);
-    }
-  }
-  SimResult result = end_run();
-  release_rows_ = false;
+  SimResult result =
+      admit_all(source, batch_jobs, snap.jobs_admitted, nullptr, 0.0);
   policy_override_ = nullptr;
   return result;
 }
@@ -767,13 +575,6 @@ void Simulation::admit(std::size_t task_idx) {
     on_task_terminal(task_idx);
     return;
   }
-  if (shard_rt_ != nullptr) {
-    // Queue the controller plan now; it stays valid until first dispatch
-    // (priority changes fire only on a VM, so the priority the plan was
-    // keyed on is the priority first dispatch sees).
-    shard_rt_->publish_controller_plan(task_idx, tasks_.rec[task_idx],
-                                       tasks_.priority[task_idx]);
-  }
   make_ready(task_idx);
 }
 
@@ -792,21 +593,36 @@ void Simulation::push_pending(std::size_t task_idx) {
 }
 
 void Simulation::init_controller(std::size_t task_idx) {
-  // The arithmetic lives in plan_controller (ckpt_sequence.cpp) so the
-  // sharded runtime's workers and this inline path run the same compiled
-  // code; with a plan ready, first dispatch just seats it.
-  ControllerPlan plan;
-  if (shard_rt_ == nullptr ||
-      !shard_rt_->consume_controller_plan(task_idx, plan)) {
-    // resume_stream's what-if policy applies to dispatches after the fork;
-    // everywhere else the override is null and this is the ctor-bound
-    // policy (sharded runs reject resume, so workers never see overrides).
-    PlanEnv env = plan_env_;
-    if (policy_override_ != nullptr) env.policy = policy_override_;
-    plan_controller(env, *tasks_.rec[task_idx], tasks_.priority[task_idx],
-                    plan);
+  const trace::TaskRecord& rec = *tasks_.rec[task_idx];
+  // resume()'s what-if policy applies to dispatches after the fork;
+  // everywhere else the override is null and this is the ctor-bound policy.
+  const core::CheckpointPolicy& policy =
+      policy_override_ != nullptr ? *policy_override_ : policy_;
+  const core::FailureStats stats =
+      predictor_(rec, tasks_.priority[task_idx]);
+  std::optional<storage::DeviceKind> forced;
+  if (config_.placement == PlacementMode::kForceLocal) {
+    forced = storage::DeviceKind::kLocalRamdisk;
+  } else if (config_.placement == PlacementMode::kForceShared) {
+    forced = config_.shared_kind;
   }
-  apply_controller_plan(task_idx, plan);
+  // The planner sees the parser's *predicted* length; execution still ends
+  // at the true length.
+  const double planned_length =
+      config_.length_predictor
+          ? std::max(1.0, config_.length_predictor(rec))
+          : rec.length_s;
+  tasks_.controller[task_idx].emplace(policy, planned_length, rec.memory_mb,
+                                      stats, config_.adaptation,
+                                      config_.shared_kind, forced);
+  storage::StorageBackend* backend =
+      backend_for(tasks_.controller[task_idx]->storage_decision().device);
+  tasks_.backend[task_idx] = backend;
+  // The memory-dependent price parts are pure functions of the (device,
+  // footprint) pair: evaluate the calibration curves once per task here
+  // instead of once per checkpoint/restart.
+  tasks_.ckpt_price[task_idx] = backend->base_price(rec.memory_mb);
+  tasks_.restart_price_s[task_idx] = backend->restart_cost(rec.memory_mb);
 }
 
 void Simulation::try_dispatch() {
@@ -872,9 +688,14 @@ bool Simulation::dispatch(std::size_t task_idx) {
 }
 
 void Simulation::sync_clock(std::size_t task_idx) {
-  // Delegates to the shared single-TU implementation: the worker-side plan
-  // replay must run the exact same compiled code (bit-identity).
-  sync_row_clock(tasks_.hot[task_idx], engine_.now());
+  const double elapsed = engine_.now() - tasks_.hot[task_idx].last_sync_s;
+  if (elapsed > 0.0) {
+    tasks_.hot[task_idx].active_s += elapsed;
+    if (tasks_.hot[task_idx].phase == TaskPhase::kExecuting) {
+      tasks_.hot[task_idx].progress_s += elapsed;
+    }
+  }
+  tasks_.hot[task_idx].last_sync_s = engine_.now();
 }
 
 void Simulation::cancel_pending_event(std::size_t task_idx) {
@@ -882,9 +703,6 @@ void Simulation::cancel_pending_event(std::size_t task_idx) {
     engine_.cancel(tasks_.pending_event[task_idx]);
     tasks_.pending_event[task_idx] = TaskTable::kNoEvent;
   }
-  // Any speculative plan was keyed to the task's current trajectory, which
-  // whoever cancels the event is about to change.
-  if (shard_rt_ != nullptr) shard_rt_->cancel_plan(task_idx);
 }
 
 void Simulation::arm(std::size_t task_idx) {
@@ -946,15 +764,8 @@ void Simulation::arm_from(std::size_t task_idx, double vt) {
   best_delta = std::max(0.0, best_delta);
   const auto idx = static_cast<std::uint32_t>(task_idx);
   const Wakeup kind = best;
-  const double fire_time = vt + best_delta;
   tasks_.pending_event[task_idx] = engine_.schedule_at(
-      fire_time, [this, idx, kind] { wake(idx, kind); });
-  if (kind == Wakeup::kCheckpointDue) {
-    // Between now and the fire nothing can touch this task without first
-    // canceling the event (and with it the plan), so the row/controller/
-    // accounting state frozen here is exactly what the wake will see.
-    maybe_publish_continuation(task_idx, fire_time);
-  }
+      vt + best_delta, [this, idx, kind] { wake(idx, kind); });
 }
 
 void Simulation::wake(std::size_t task_idx, Wakeup kind) {
@@ -1066,13 +877,6 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
   storage::StorageBackend* backend = tasks_.backend[task_idx];
   const bool pure = backend->begin_is_pure();
   const bool needs_end_event = backend->completion_affects_pricing();
-  if (pure && !needs_end_event) {
-    // The whole run is a closed-form function of this task's own state:
-    // commit the precomputed plan if a planning shard finished one, or run
-    // the same compiled sequence (ckpt_sequence.cpp) inline.
-    commit_pure_ckpt_run(task_idx, *backend);
-    return;
-  }
   const std::size_t host =
       cluster_.vm(static_cast<VmId>(tasks_.vm[task_idx])).host();
   TaskAccounting& acct = tasks_.acct[task_idx];
@@ -1261,7 +1065,7 @@ void Simulation::finish_job(std::uint32_t job_slot) {
     config_.tracer->sim_span(obs::kJobPid, job.id, "job", obs::kCatJob,
                              job.arrival_s, engine_.now());
   });
-  if (release_rows_) retire_job(job_slot);
+  retire_job(job_slot);
 
   if (sched_active_) {
     result_.total_sched_wait_s += out.sched_wait_s;

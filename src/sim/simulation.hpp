@@ -37,7 +37,6 @@
 #include "core/controller.hpp"
 #include "core/policy.hpp"
 #include "obs/hooks.hpp"
-#include "sim/ckpt_sequence.hpp"
 #include "sim/cluster.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
@@ -48,20 +47,48 @@
 
 namespace cloudcr::sim {
 
-class ShardRuntime;
-struct ContinuationPlan;
+/// One pull from a JobSource: up to the requested number of jobs in
+/// non-decreasing arrival order. A source fills exactly one of the lists.
+struct JobBatch {
+  /// Complete records (each owning its TaskRecords) that the replay takes
+  /// over: streamed jobs, moved into their job slot at admission.
+  std::vector<trace::JobRecord> owned;
+  /// Records that outlive the run (a caller's materialized trace): the
+  /// replay borrows their tasks in place and copies no TaskRecord.
+  std::vector<const trace::JobRecord*> borrowed;
 
-/// Pull source of arrival-ordered jobs for the streaming replay
-/// (Simulation::run_stream). next_jobs appends up to `max_jobs` complete
-/// JobRecords (each owning its TaskRecords) to `out` in non-decreasing
-/// arrival order and returns the number appended; 0 means exhausted.
-/// api::ScenarioRunner adapts an ingest::TaskStream onto this seam, keeping
-/// the sim layer free of any ingestion dependency.
+  void clear() {
+    owned.clear();
+    borrowed.clear();
+  }
+};
+
+/// Pull source of arrival-ordered jobs for Simulation::run. next_jobs
+/// appends up to `max_jobs` jobs to one of `out`'s lists and returns the
+/// number appended; 0 means exhausted. api::StreamJobSource adapts an
+/// ingest::TaskStream onto this seam, keeping the sim layer free of any
+/// ingestion dependency; TraceJobSource serves a materialized trace.
 class JobSource {
  public:
   virtual ~JobSource() = default;
-  virtual std::size_t next_jobs(std::size_t max_jobs,
-                                std::vector<trace::JobRecord>& out) = 0;
+  virtual std::size_t next_jobs(std::size_t max_jobs, JobBatch& out) = 0;
+};
+
+/// JobSource over a materialized trace, which must outlive the run. Jobs
+/// are borrowed in place, stably sorted by arrival: the pop order of an
+/// engine that scheduled every arrival up front (time order, ties in trace
+/// order). Real sources emit arrival-sorted jobs, so the common case skips
+/// the sort and its index allocation; only hand-made unsorted traces pay.
+class TraceJobSource final : public JobSource {
+ public:
+  explicit TraceJobSource(const trace::Trace& trace);
+
+  std::size_t next_jobs(std::size_t max_jobs, JobBatch& out) override;
+
+ private:
+  const trace::Trace& trace_;
+  std::vector<std::uint32_t> order_;  ///< stable arrival order; empty = as is
+  std::size_t next_ = 0;
 };
 
 /// Pooled replay buffers: the task/job tables, the pending queue, and the
@@ -72,18 +99,18 @@ class JobSource {
 /// change results.
 ///
 /// After a run the table sizes are readable high-water marks (they are
-/// cleared at the *start* of the next run): a materialized replay peaks at
-/// O(trace) rows, a streaming replay at O(active tasks) — the month-scale
-/// perf benchmark reports exactly these counters.
+/// cleared at the *start* of the next run): finished jobs' rows are
+/// recycled, so a replay peaks at O(active tasks) rows whatever its source
+/// — the month-scale perf benchmark reports exactly these counters.
 struct ReplayWorkspace {
   TaskTable tasks;
 
   /// Per-job replay state. The job's constant scalars are copied in at
-  /// admission and its TaskRecords are either borrowed from the caller's
-  /// trace (run) or owned by the slot itself (run_stream) — either way
-  /// `task_recs` stays valid while the job is live, including across
-  /// jobs-vector growth (moving the owning vector does not move its heap
-  /// buffer).
+  /// admission and its TaskRecords are either borrowed from a record that
+  /// outlives the run (JobBatch::borrowed) or owned by the slot itself
+  /// (JobBatch::owned) — either way `task_recs` stays valid while the job
+  /// is live, including across jobs-vector growth (moving the owning vector
+  /// does not move its heap buffer).
   struct JobState {
     const trace::TaskRecord* task_recs = nullptr;  ///< the job's task span
     std::uint32_t n_tasks = 0;
@@ -97,10 +124,9 @@ struct ReplayWorkspace {
     double sched_wait_s = 0.0;  ///< scheduler hold time (0 under fcfs)
     bool backfilled = false;    ///< released ahead of an earlier arrival
     bool done = false;
-    /// Admitted and not yet retired. Slots of finished jobs are inactive in
-    /// both modes; the streaming mode additionally recycles them.
+    /// Admitted and not yet retired; finished jobs' slots are recycled.
     bool active = false;
-    /// Streaming mode: the records themselves (moved out of the chunk).
+    /// Owned records (moved out of the chunk); empty for borrowed jobs.
     std::vector<trace::TaskRecord> owned;
   };
   std::vector<JobState> jobs;
@@ -110,7 +136,7 @@ struct ReplayWorkspace {
 
   Engine engine;
 
-  // -- streaming-replay recycling ---------------------------------------------
+  // -- row recycling ----------------------------------------------------------
   /// Job slots retired by finished jobs, reusable LIFO.
   std::vector<std::uint32_t> free_jobs;
   /// Retired task-table spans, grouped by span length (jobs of the same
@@ -118,24 +144,24 @@ struct ReplayWorkspace {
   /// deterministically — recycling can never change results, only memory.
   std::map<std::uint32_t, std::vector<std::uint32_t>> free_spans;
   /// Arrival buffer: the current chunk pulled from the JobSource.
-  std::vector<trace::JobRecord> chunk;
-  /// Admission order for run(): job indices stably sorted by arrival.
-  std::vector<std::uint32_t> admission_order;
+  JobBatch chunk;
 };
 
-/// Frozen mid-run state of a *streaming* replay, taken at an arrival
-/// boundary: the engine (clock + cloned event queue), every workspace
-/// table, the cluster index, the RNG, both storage-backend states, the
-/// scheduler queues, probe cursors, and the partial result. Together with
+/// Frozen mid-run state of a replay, taken at an arrival boundary: the
+/// engine (clock + cloned event queue), every workspace table, the cluster
+/// index, the RNG, both storage-backend states, the scheduler queues,
+/// probe cursors, and the partial result. Together with
 /// the count of already-consumed source jobs this is everything a resumed
 /// run needs to continue bit-identically to a replay from zero — the
 /// snapshot==replay house invariant (tests/svc/snapshot_identity_test.cpp).
 ///
 /// A snapshot is bound to the Simulation instance that captured it: queued
 /// callbacks and task rows hold raw pointers to that instance and its
-/// storage backends, so Simulation::resume_stream must be called on the
-/// same object (which must not have started any other run in between).
-/// One snapshot supports any number of sequential resumes.
+/// storage backends, so Simulation::resume must be called on the same
+/// object (which must not have started any other run in between). Jobs
+/// borrowed from a TraceJobSource keep pointing into that trace, so it must
+/// outlive the snapshot too. One snapshot supports any number of sequential
+/// resumes.
 struct SimSnapshot {
   Engine::Snapshot engine;
   TaskTable tasks;
@@ -160,8 +186,8 @@ struct SimSnapshot {
   SimResult result;
   /// Base detection delay at capture (resume overrides may replace it).
   double detection_delay_s = 0.0;
-  /// Source jobs consumed before the fork point; resume_stream re-opens
-  /// the (deterministic) source and discards exactly this many jobs.
+  /// Source jobs consumed before the fork point; resume re-opens the
+  /// (deterministic) source and discards exactly this many jobs.
   std::uint64_t jobs_admitted = 0;
   /// Engine time when the snapshot was taken.
   double taken_at = 0.0;
@@ -184,23 +210,22 @@ struct ResumeOverrides {
   std::optional<double> detection_delay_s;
 };
 
-/// Replays one trace under one policy. run() is reusable: every call resets
-/// the workspace, cluster, RNG, and storage backends, so consecutive runs
-/// are bit-identical to fresh constructions.
+/// Replays one job sequence under one policy. Reusable: every run resets the
+/// workspace, cluster, RNG, and storage backends, so consecutive runs are
+/// bit-identical to fresh constructions.
 ///
-/// Arrivals are admitted *lazily* in both entry points: the engine drains
-/// events up to the next arrival instant, then injects the job at its own
-/// timestamp (Engine::run_until_before / advance_to), which reproduces the
-/// ordering of scheduling every arrival event up front — arrivals win ties
-/// against dynamically scheduled events, in job order. run() feeds the
-/// admission loop from a materialized trace (borrowed records, rows kept
-/// until the end); run_stream() pulls chunks from a JobSource and retires
-/// finished jobs' rows, so steady-state memory is O(active tasks) +
-/// O(chunk), not O(trace). The two paths share the entire replay core and
-/// are bit-identical (pinned by tests/api/stream_determinism_test.cpp).
+/// Every entry point drives the same admission loop over a JobSource.
+/// Arrivals are admitted *lazily*: the engine drains events up to the next
+/// arrival instant, then injects the job at its own timestamp
+/// (Engine::run_until_before / advance_to), which reproduces the ordering
+/// of scheduling every arrival event up front — arrivals win ties against
+/// dynamically scheduled events, in job order. Finished jobs' rows are
+/// recycled, so steady-state memory is O(active tasks) + O(chunk), not
+/// O(trace); which source fed the loop never changes results (pinned by
+/// tests/api/stream_determinism_test.cpp).
 class Simulation {
  public:
-  /// Default arrival-chunk size for run_stream.
+  /// Default arrival-chunk size.
   static constexpr std::size_t kDefaultBatchJobs = 1024;
 
   /// \param config    simulation parameters
@@ -209,47 +234,52 @@ class Simulation {
   /// \param workspace pooled buffers to (re)use; nullptr = own workspace
   Simulation(SimConfig config, const core::CheckpointPolicy& policy,
              StatsPredictor predictor, ReplayWorkspace* workspace = nullptr);
-  ~Simulation();  // out-of-line: ShardRuntime is incomplete here
 
-  /// Replays the trace to completion and returns the aggregated result.
-  SimResult run(const trace::Trace& trace);
+  /// Pulls arrival-ordered jobs from `source` in chunks of `batch_jobs`,
+  /// replays them to completion, and returns the aggregated result.
+  SimResult run(JobSource& source,
+                std::size_t batch_jobs = kDefaultBatchJobs);
 
-  /// Streaming replay: pulls arrival-ordered jobs from `source` in batches
-  /// of `batch_jobs`, admits each at its arrival instant, and recycles
-  /// finished jobs' table rows. Bit-identical to run() over the
-  /// materialized equivalent of the same job sequence.
-  SimResult run_stream(JobSource& source,
-                       std::size_t batch_jobs = kDefaultBatchJobs);
-
-  /// run_stream that additionally captures `out` just before admitting the
-  /// first job whose arrival is at or beyond `fork_at` (or after the last
+  /// run() that additionally captures `out` just before admitting the first
+  /// job whose arrival is at or beyond `fork_at` (or after the last
   /// admission when no such job exists). The returned result is
-  /// bit-identical to a plain run_stream — capturing only copies state.
-  /// Only the streaming path supports snapshots: the materialized run()
-  /// borrows the caller's trace records, which a snapshot cannot pin.
-  SimResult run_stream_snapshot(JobSource& source, double fork_at,
-                                SimSnapshot& out,
-                                std::size_t batch_jobs = kDefaultBatchJobs);
+  /// bit-identical to a plain run() — capturing only copies state.
+  SimResult run_snapshot(JobSource& source, double fork_at, SimSnapshot& out,
+                         std::size_t batch_jobs = kDefaultBatchJobs);
 
   /// Resumes a captured run from its fork point against a *fresh* JobSource
-  /// over the same trace (the first SimSnapshot::jobs_admitted jobs are
+  /// over the same jobs (the first SimSnapshot::jobs_admitted jobs are
   /// consumed and discarded to reach the fork). With empty overrides the
   /// result is bit-identical to the run that took the snapshot; overrides
   /// apply from the fork onward. Must be called on the Simulation instance
-  /// that captured `snap`, before any other run() / run_stream() on it;
-  /// sequential resumes from one snapshot are fine.
-  SimResult resume_stream(const SimSnapshot& snap, JobSource& source,
-                          const ResumeOverrides& overrides = {},
-                          std::size_t batch_jobs = kDefaultBatchJobs);
+  /// that captured `snap`, before any other run on it; sequential resumes
+  /// from one snapshot are fine.
+  SimResult resume(const SimSnapshot& snap, JobSource& source,
+                   const ResumeOverrides& overrides = {},
+                   std::size_t batch_jobs = kDefaultBatchJobs);
 
  private:
-  // Wakeup lives in sim/ckpt_sequence.hpp now: plan results name the engine
-  // event they determined.
+  enum class Wakeup : std::uint8_t {
+    kKill,
+    kPriorityChange,
+    kCheckpointDue,
+    kCheckpointDone,
+    kRestoreDone,
+    kComplete,
+  };
+
   using JobState = ReplayWorkspace::JobState;
 
   // -- run skeleton ---------------------------------------------------------
-  /// Resets all pooled state; shared by both entry points.
+  /// Resets all pooled state at the start of run() and run_snapshot().
   void begin_run();
+  /// The admission loop every entry point shares: discards the first `skip`
+  /// source jobs, admits the rest at their arrival instants, captures
+  /// `capture` (when non-null) at the first arrival at or beyond
+  /// `capture_at`, and finishes the run.
+  SimResult admit_all(JobSource& source, std::size_t batch_jobs,
+                      std::uint64_t skip, SimSnapshot* capture,
+                      double capture_at);
   /// Copies every mutable column; the controller column is rebuilt by copy
   /// construction (CheckpointController's policy reference deletes its copy
   /// assignment, which vector element-wise assignment would need).
@@ -265,13 +295,13 @@ class Simulation {
   /// returns the result.
   SimResult end_run();
   /// Admits one job at the current engine time. `owned` non-null moves the
-  /// record's tasks into the slot (streaming); null borrows them (the
-  /// caller's trace outlives the run).
+  /// record's tasks into the slot; null borrows them (the record outlives
+  /// the run).
   void admit_job(const trace::JobRecord& rec, trace::JobRecord* owned);
   [[nodiscard]] std::uint32_t alloc_job_slot();
   [[nodiscard]] std::size_t alloc_task_span(std::uint32_t n_tasks);
-  /// Streaming mode: returns a finished job's rows and slot to the free
-  /// pools and drops its owned records.
+  /// Returns a finished job's rows and slot to the free pools and drops its
+  /// owned records.
   void retire_job(std::uint32_t job_slot);
 
   // -- event plumbing -------------------------------------------------------
@@ -355,27 +385,6 @@ class Simulation {
   void trace_vm_leave(std::size_t task_idx);
 #endif
 
-  // -- sharded replay ---------------------------------------------------------
-  // Active only when config_.shards > 1: the committing shard (this thread)
-  // publishes speculative plan requests to K-1 planning workers and consumes
-  // their results at the canonical serial commit points. Every consume has a
-  // bit-identical inline fallback, so shards=K == shards=1 by construction
-  // (pinned by tests/sim/shard_invariance_test.cpp).
-  /// Spawns the planning workers for this run (after begin_run).
-  void start_shard_runtime();
-  /// Flushes shard counters and joins the workers (end of run).
-  void stop_shard_runtime();
-  /// Seats `plan` (consumed or computed inline) into the task's columns.
-  void apply_controller_plan(std::size_t task_idx, ControllerPlan& plan);
-  /// Publishes a continuation plan for a just-armed checkpoint-due event
-  /// when the device qualifies (pure, no completion pricing, no tracer).
-  void maybe_publish_continuation(std::size_t task_idx, double fire_time);
-  /// The pure-device checkpoint-due commit: consumes the worker's plan (or
-  /// runs the same compressed sequence inline), replays the device-op
-  /// bookkeeping on the real backend, and schedules the determined event.
-  void commit_pure_ckpt_run(std::size_t task_idx,
-                            storage::StorageBackend& backend);
-
   // -- helpers ---------------------------------------------------------------
   /// Accrues active (and productive) time since the last sync.
   void sync_clock(std::size_t task_idx);
@@ -390,7 +399,7 @@ class Simulation {
 
   SimConfig config_;
   const core::CheckpointPolicy& policy_;
-  /// Non-null only inside resume_stream: init_controller consults it so a
+  /// Non-null only inside resume(): init_controller consults it so a
   /// what-if fork can swap the policy for post-fork dispatches without
   /// reseating the reference above. Cleared by begin_run.
   const core::CheckpointPolicy* policy_override_ = nullptr;
@@ -409,17 +418,6 @@ class Simulation {
   /// Smallest memory demand among pending tasks (+inf when none): lets
   /// try_dispatch reject a sweep in O(1) while the cluster is saturated.
   double pending_min_mb_ = 0.0;
-
-  /// Streaming mode: recycle finished jobs' rows/slots (run_stream sets
-  /// this; run keeps every row so borrowed records need no bookkeeping).
-  bool release_rows_ = false;
-
-  // -- sharded-replay state ---------------------------------------------------
-  /// Planning workers; non-null only while a shards>1 run is in flight.
-  std::unique_ptr<ShardRuntime> shard_rt_;
-  /// Read-only environment the workers plan against; refreshed by begin_run
-  /// after the backends are rebuilt.
-  PlanEnv plan_env_;
 
   // -- scheduling-stage state (untouched when sched_active_ is false) --------
   bool sched_active_ = false;

@@ -140,23 +140,6 @@ struct TaskTable {
     acct.clear();
   }
 
-  void reserve(std::size_t n) {
-    hot.reserve(n);
-    pending_event.reserve(n);
-    vm.reserve(n);
-    last_failed_host.reserve(n);
-    memory_mb.reserve(n);
-    length_s.reserve(n);
-    priority.reserve(n);
-    job.reserve(n);
-    rec.reserve(n);
-    controller.reserve(n);
-    backend.reserve(n);
-    ckpt_price.reserve(n);
-    restart_price_s.reserve(n);
-    acct.reserve(n);
-  }
-
   /// Grows every column to `n` rows (values are set by init_row; a row is
   /// never read before it is initialized).
   void resize(std::size_t n) {

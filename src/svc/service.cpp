@@ -54,9 +54,9 @@ std::string format_fork(double fork_at) {
 
 /// Runs the base scenario of `entry` through the streaming replay,
 /// capturing the snapshot at `fork_at` into the entry. Mirrors
-/// api::ScenarioRunner::run_streamed (same cursor, predictor, and
-/// accounting contract) with the Simulation parked in the entry instead
-/// of on the stack.
+/// api::ScenarioRunner::run (same cursor, predictor, and accounting
+/// contract) with the Simulation parked in the entry instead of on the
+/// stack.
 api::RunArtifact SimService::capture_base_run(ForkEntry& entry,
                                               double fork_at) {
   const api::ScenarioSpec& spec = entry.base;
@@ -108,7 +108,7 @@ api::RunArtifact SimService::capture_base_run(ForkEntry& entry,
       std::move(config), *entry.policy, std::move(predictor),
       entry.workspace.get());
   artifact.result =
-      entry.simulation->run_stream_snapshot(source, fork_at, entry.snapshot);
+      entry.simulation->run_snapshot(source, fork_at, entry.snapshot);
   artifact.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -144,7 +144,7 @@ api::RunArtifact SimService::resume_run(ForkEntry& entry,
   artifact.spec = entry.base;
   const auto start = std::chrono::steady_clock::now();
   artifact.result =
-      entry.simulation->resume_stream(entry.snapshot, source, overrides);
+      entry.simulation->resume(entry.snapshot, source, overrides);
   artifact.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -17,7 +17,7 @@
 ///   - A what-if request (base spec + fork_at + overrides) resumes from a
 ///     parked engine snapshot instead of replaying from zero. The first
 ///     what-if against a (base, fork_at) pair runs the base scenario once
-///     through sim::Simulation::run_stream_snapshot, parks the Simulation
+///     through sim::Simulation::run_snapshot, parks the Simulation
 ///     plus its sim::SimSnapshot, and banks the base artifact; every later
 ///     what-if at that fork only replays the post-fork suffix. With empty
 ///     overrides the resumed artifact is byte-identical to a replay from

@@ -249,7 +249,8 @@ TEST(ScenarioRunner, MatchesHandWiredSimulation) {
   const core::MnofPolicy policy;
   sim::Simulation simulation(to_sim_config(spec), policy,
                              sim::make_grouped_predictor(trace));
-  const auto reference = simulation.run(trace);
+  sim::TraceJobSource source(trace);
+  const auto reference = simulation.run(source);
 
   ASSERT_EQ(artifact.result.outcomes.size(), reference.outcomes.size());
   EXPECT_EQ(artifact.result.events_dispatched, reference.events_dispatched);

@@ -269,12 +269,15 @@ TEST_F(RunKeyContext, TraceSourceErrorsNameKeyAndValue) {
       << what;
 }
 
-TEST_F(RunKeyContext, StreamedRunReportsTheSameContext) {
+TEST_F(RunKeyContext, ReplayTraceRunReportsTheSameContext) {
   auto spec = tiny_spec();
   spec.predictor = "no_such_predictor";
+  const trace::Trace trace = api::make_replay_trace(spec.trace);
+  api::RunHooks hooks;
+  hooks.replay_trace = &trace;
   std::string what;
   try {
-    (void)api::ScenarioRunner(spec).run_streamed();
+    (void)api::ScenarioRunner(spec).run(hooks);
   } catch (const std::invalid_argument& e) {
     what = e.what();
   }

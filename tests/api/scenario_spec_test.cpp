@@ -34,7 +34,6 @@ ScenarioSpec exotic_spec() {
   spec.storage_noise = 0.1;
   spec.sim_seed = 0xabcdef;
   spec.detection_delay_s = 2.5;
-  spec.shards = 7;
   spec.cluster.hosts = 16;
   spec.cluster.vms_per_host = 4;
   spec.cluster.vm_memory_mb = 2048.0;
@@ -58,20 +57,7 @@ TEST(ScenarioSerialization, RoundTripsEveryField) {
   EXPECT_EQ(parsed.history.seed, 99u);
   EXPECT_DOUBLE_EQ(parsed.history.replay_max_task_length_s, 4000.0);
   EXPECT_EQ(parsed.placement, sim::PlacementMode::kForceLocal);
-  EXPECT_EQ(parsed.shards, 7u);
   EXPECT_EQ(parsed.cluster.hosts, 16u);
-}
-
-TEST(ScenarioSerialization, ShardsRoundTripAndBounds) {
-  ScenarioSpec spec;
-  spec.shards = 4096;  // upper bound is accepted
-  EXPECT_EQ(parse_scenario(serialize(spec)), spec);
-  // Unlisted key keeps the serial default — pre-sharding artifacts parse.
-  EXPECT_EQ(parse_scenario("name=old_artifact\n").shards, 1u);
-  EXPECT_THROW((void)parse_scenario("shards=0"), std::invalid_argument);
-  EXPECT_THROW((void)parse_scenario("shards=4097"), std::invalid_argument);
-  EXPECT_THROW((void)parse_scenario("shards=-2"), std::invalid_argument);
-  EXPECT_THROW((void)parse_scenario("shards=two"), std::invalid_argument);
 }
 
 TEST(ScenarioSerialization, RoundTripsTraceSource) {
@@ -141,6 +127,28 @@ TEST(ScenarioSerialization, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("trace.sample_job_filter=maybe"),
                std::invalid_argument);
+}
+
+// strtod reads "nan" in many spellings; a NaN spec value once answered a
+// service request with zero completed jobs (cluster.vm_memory_mb) or an
+// internal engine error (storage_noise). The parser rejects them all,
+// naming the key and the value.
+TEST(ScenarioSerialization, RejectsNaNNamingKeyAndValue) {
+  for (const std::string key : {"cluster.vm_memory_mb", "storage_noise"}) {
+    for (const std::string value :
+         {"nan", "NaN", "-nan", "+NAN", "nan(0x7ff)", " nan"}) {
+      SCOPED_TRACE(key + "=" + value);
+      try {
+        (void)parse_scenario(key + "=" + value + "\n");
+        ADD_FAILURE() << "NaN was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("scenario key '" + key +
+                                             "' = '" + value + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(EnumTokens, RoundTrip) {

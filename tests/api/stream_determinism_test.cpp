@@ -1,16 +1,21 @@
 // Property: the streaming replay is bit-identical to the materialized one.
-// ScenarioRunner::run_streamed (lazy admission, per-chunk post-processing,
-// builder-observed estimation, row recycling) must produce byte-identical
-// artifacts to ScenarioRunner::run_materialized across every built-in
-// source kind, seeds, policies, estimation modes, and — since the
-// PredictorBuilder observation contract — custom registered predictors,
-// serial and through a threaded BatchRunner with stream_traces on. This is
-// what makes the memory-bounded month-scale path trustworthy: streaming
-// can change the footprint, never the results. The suite also pins the
-// SharedTraceCursor pass accounting (single-pass sources serve estimation
-// and replay from one read) and the observation-order property (streamed
-// observe_task order == the materialized trace's job/task order).
+// ScenarioRunner::run drives one admission loop from either of two sources:
+// the SharedTraceCursor's stream over the spec's source (lazy admission,
+// per-chunk post-processing, builder-observed estimation) or the same
+// replay set materialized up front and handed in as RunHooks::replay_trace
+// (borrowed in place through sim::TraceJobSource). Both must produce
+// byte-identical artifacts across every built-in source kind, seeds,
+// policies, estimation modes, chunk sizes, and — since the PredictorBuilder
+// observation contract — custom registered predictors, serial and through
+// a threaded BatchRunner with stream_traces on. This is what makes the
+// memory-bounded month-scale path trustworthy: streaming can change the
+// footprint, never the results. The suite also pins the SharedTraceCursor
+// pass accounting (single-pass sources serve estimation and replay from
+// one read), the observation-order property (streamed observe_task order
+// == the materialized trace's job/task order), and the trace-backed
+// source's stable arrival sort for hand-made unsorted traces.
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -26,6 +31,7 @@
 #include "api/stream.hpp"
 #include "core/estimator.hpp"
 #include "ingest/google_source.hpp"
+#include "ingest/stream.hpp"
 #include "metrics/export.hpp"
 #include "sim/predictors.hpp"
 #include "trace/generator.hpp"
@@ -225,18 +231,20 @@ TEST_P(StreamedEqualsMaterialized, AcrossSourcesPoliciesAndBatchSizes) {
   const auto specs = grid(GetParam());
   for (const auto& spec : specs) {
     const ScenarioRunner runner(spec);
-    const std::string materialized = render_one(runner.run_materialized());
-    // Chunk size must be invisible: per-job pulls, a mid-size batch, and
-    // one chunk far larger than the trace.
+    const trace::Trace replay_set = make_replay_trace(spec.trace);
+    RunHooks materialized_hooks;
+    materialized_hooks.replay_trace = &replay_set;
+    const std::string materialized =
+        render_one(runner.run(materialized_hooks));
+    // Chunk size must be invisible to both sources: per-job pulls, a
+    // mid-size batch, and one chunk far larger than the trace.
     for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
                                     std::size_t{1} << 20}) {
-      const std::string streamed =
-          render_one(runner.run_streamed({}, batch));
-      EXPECT_EQ(materialized, streamed)
-          << spec.name << " diverged at batch_jobs=" << batch;
+      EXPECT_EQ(materialized, render_one(runner.run({}, batch)))
+          << spec.name << " streamed diverged at batch_jobs=" << batch;
+      EXPECT_EQ(materialized, render_one(runner.run(materialized_hooks, batch)))
+          << spec.name << " materialized diverged at batch_jobs=" << batch;
     }
-    // The unified entry point picks one of the two proven-equal shapes.
-    EXPECT_EQ(materialized, render_one(runner.run())) << spec.name;
   }
 }
 
@@ -331,11 +339,14 @@ TEST(PredictorObservationOrder, StreamedFeedMatchesMaterializedTraceOrder) {
     ASSERT_FALSE(expected.empty()) << spec.name;
 
     recorded->clear();
-    (void)ScenarioRunner(spec).run_streamed();
+    (void)ScenarioRunner(spec).run();
     EXPECT_EQ(*recorded, expected) << spec.name << " (streamed feed)";
 
+    const trace::Trace replay_set = make_replay_trace(spec.trace);
+    RunHooks hooks;
+    hooks.replay_trace = &replay_set;
     recorded->clear();
-    (void)ScenarioRunner(spec).run_materialized();
+    (void)ScenarioRunner(spec).run(hooks);
     EXPECT_EQ(*recorded, expected) << spec.name << " (materialized feed)";
   }
 }
@@ -360,53 +371,58 @@ TEST(SingleCursor, ReadAccountingPerSourceKind) {
   csv.trace.source = "csv:" + csv_path;
 
   // Lazy source, estimating predictor: one generation pass per phase.
-  const RunArtifact syn_streamed = ScenarioRunner(synthetic).run_streamed();
+  const RunArtifact syn_streamed = ScenarioRunner(synthetic).run();
   EXPECT_EQ(syn_streamed.trace_reads, 2u);
   EXPECT_EQ(syn_streamed.rows_read, 2 * syn_streamed.trace_tasks);
 
   // Lazy source, oracle: the estimation pass disappears entirely.
   ScenarioSpec oracle = synthetic;
   oracle.predictor = "oracle";
-  const RunArtifact oracle_streamed = ScenarioRunner(oracle).run_streamed();
+  const RunArtifact oracle_streamed = ScenarioRunner(oracle).run();
   EXPECT_EQ(oracle_streamed.trace_reads, 1u);
   EXPECT_EQ(oracle_streamed.rows_read, oracle_streamed.trace_tasks);
 
   // Single-pass source (csv parses whole-input): estimation + replay share
   // ONE read even for a custom registered predictor — the tee.
-  const RunArtifact csv_streamed = ScenarioRunner(csv).run_streamed();
+  const RunArtifact csv_streamed = ScenarioRunner(csv).run();
   EXPECT_EQ(csv_streamed.trace_reads, 1u);
   EXPECT_GE(csv_streamed.rows_read, csv_streamed.trace_tasks);
 
-  // The materialized path reads once too (estimation observes the replay
-  // set in place) — and the unified entry point routes csv there.
-  const RunArtifact csv_unified = ScenarioRunner(csv).run();
-  EXPECT_EQ(csv_unified.trace_reads, 1u);
-  const RunArtifact syn_materialized =
-      ScenarioRunner(synthetic).run_materialized();
-  EXPECT_EQ(syn_materialized.trace_reads, 1u);
+  // A caller-materialized replay set costs no source pass when estimation
+  // observes the replay set in place; a full-view estimation takes one
+  // pass of its own.
+  const trace::Trace replay_set = make_replay_trace(synthetic.trace);
+  RunHooks hooks;
+  hooks.replay_trace = &replay_set;
+  EXPECT_EQ(ScenarioRunner(synthetic).run(hooks).trace_reads, 0u);
+  ScenarioSpec full = synthetic;
+  full.estimation = EstimationSource::kFull;
+  EXPECT_EQ(ScenarioRunner(full).run(hooks).trace_reads, 1u);
 }
 
-/// JobSource over a pre-built job vector (yields owned copies).
-class VectorJobSource final : public sim::JobSource {
- public:
-  explicit VectorJobSource(const std::vector<trace::JobRecord>& jobs)
-      : jobs_(jobs) {}
+/// Replays `trace` through the trace-backed source (records borrowed).
+sim::SimResult replay_borrowed(sim::Simulation&& sim,
+                               const trace::Trace& trace, std::size_t batch) {
+  sim::TraceJobSource source(trace);
+  return sim.run(source, batch);
+}
 
-  std::size_t next_jobs(std::size_t max_jobs,
-                        std::vector<trace::JobRecord>& out) override {
-    std::size_t n = 0;
-    while (n < max_jobs && next_ < jobs_.size()) {
-      out.push_back(jobs_[next_]);
-      ++next_;
-      ++n;
-    }
-    return n;
-  }
+/// Replays a copy of `trace` through a real owning stream (ingestion's
+/// chunked stream over a materialized result, as single-pass sources use).
+sim::SimResult replay_streamed(sim::Simulation&& sim,
+                               const trace::Trace& trace, std::size_t batch) {
+  ingest::IngestResult copy;
+  copy.trace = trace;
+  ingest::ChunkedTraceStream stream(std::move(copy));
+  StreamJobSource source(stream);
+  return sim.run(source, batch);
+}
 
- private:
-  const std::vector<trace::JobRecord>& jobs_;
-  std::size_t next_ = 0;
-};
+std::string render_result(const sim::SimResult& result) {
+  RunArtifact artifact;
+  artifact.result = result;
+  return render_one(artifact);
+}
 
 TEST(StreamChunkBoundaries, TiedArrivalsAcrossChunkBoundaries) {
   // Jobs with *identical* arrival timestamps straddling every chunk
@@ -445,18 +461,72 @@ TEST(StreamChunkBoundaries, TiedArrivalsAcrossChunkBoundaries) {
     return sim::Simulation(config, *policy, sim::make_oracle_predictor());
   };
 
-  const sim::SimResult materialized = fresh_sim().run(trace);
+  const sim::SimResult materialized = replay_borrowed(
+      fresh_sim(), trace, sim::Simulation::kDefaultBatchJobs);
   ASSERT_EQ(materialized.outcomes.size(), trace.jobs.size());
+  const std::string expected = render_result(materialized);
 
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{2}, std::size_t{100}}) {
-    VectorJobSource source(trace.jobs);
-    const sim::SimResult streamed = fresh_sim().run_stream(source, batch);
-    std::vector<RunArtifact> a(2);
-    a[0].result = materialized;
-    a[1].result = streamed;
-    EXPECT_EQ(render({a[0]}), render({a[1]}))
-        << "tied arrivals diverged at batch_jobs=" << batch;
+    EXPECT_EQ(expected,
+              render_result(replay_streamed(fresh_sim(), trace, batch)))
+        << "streamed tied arrivals diverged at batch_jobs=" << batch;
+    EXPECT_EQ(expected,
+              render_result(replay_borrowed(fresh_sim(), trace, batch)))
+        << "borrowed tied arrivals diverged at batch_jobs=" << batch;
+  }
+}
+
+TEST(TraceJobSource, UnsortedTraceReplaysAsItsStableSortedCopy) {
+  // A hand-made trace listing jobs out of arrival order, with jobs 2 and 4
+  // tied at t=50. Identical tied tasks complete at the same instant in
+  // admission order, so the outcome order exposes the tie order: the
+  // trace-backed source must admit job 2 before job 4, as a stable sort
+  // by arrival would.
+  trace::Trace unsorted;
+  unsorted.horizon_s = 2000.0;
+  const auto add_job = [&unsorted](std::uint64_t id, double arrival,
+                                   double length) {
+    trace::JobRecord job;
+    job.id = id;
+    job.arrival_s = arrival;
+    trace::TaskRecord task;
+    task.job_id = id;
+    task.length_s = length;
+    task.memory_mb = 100.0;
+    task.priority = 3;
+    job.tasks.push_back(task);
+    unsorted.jobs.push_back(job);
+  };
+  add_job(1, 300.0, 80.0);
+  add_job(2, 50.0, 120.0);
+  add_job(3, 120.0, 60.0);
+  add_job(4, 50.0, 120.0);
+  add_job(5, 10.0, 40.0);
+
+  trace::Trace sorted = unsorted;
+  std::stable_sort(sorted.jobs.begin(), sorted.jobs.end(),
+                   [](const trace::JobRecord& a, const trace::JobRecord& b) {
+                     return a.arrival_s < b.arrival_s;
+                   });
+  ASSERT_EQ(sorted.jobs[1].id, 2u);
+  ASSERT_EQ(sorted.jobs[2].id, 4u);
+
+  const core::PolicyPtr policy = PolicyRegistry::instance().make("formula3");
+  const sim::SimConfig config;
+  auto fresh_sim = [&] {
+    return sim::Simulation(config, *policy, sim::make_oracle_predictor());
+  };
+  const std::string expected = render_result(replay_borrowed(
+      fresh_sim(), sorted, sim::Simulation::kDefaultBatchJobs));
+  for (const std::size_t batch :
+       {std::size_t{1}, std::size_t{2}, std::size_t{100}}) {
+    EXPECT_EQ(expected,
+              render_result(replay_borrowed(fresh_sim(), unsorted, batch)))
+        << "unsorted trace diverged at batch_jobs=" << batch;
+    EXPECT_EQ(expected,
+              render_result(replay_streamed(fresh_sim(), sorted, batch)))
+        << "streamed sorted copy diverged at batch_jobs=" << batch;
   }
 }
 

@@ -24,6 +24,15 @@ trace::Trace make_trace(std::uint64_t seed, double hours,
   return trace::TraceGenerator(cfg).generate();
 }
 
+/// Replays `trace` through the trace-backed source (records borrowed).
+sim::SimResult replay(sim::Simulation& sim, const trace::Trace& trace) {
+  sim::TraceJobSource source(trace);
+  return sim.run(source);
+}
+sim::SimResult replay(sim::Simulation&& sim, const trace::Trace& trace) {
+  return replay(sim, trace);
+}
+
 TEST(EndToEnd, FullPipelineCompletesAllJobs) {
   const auto trace = make_trace(101, 4.0);
   ASSERT_GT(trace.job_count(), 20u);
@@ -31,7 +40,7 @@ TEST(EndToEnd, FullPipelineCompletesAllJobs) {
   sim::SimConfig cfg;
   const core::MnofPolicy policy;
   sim::Simulation sim(cfg, policy, sim::make_grouped_predictor(trace));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
 
   EXPECT_EQ(res.incomplete_jobs, 0u);
   EXPECT_EQ(res.outcomes.size(), trace.job_count());
@@ -45,7 +54,7 @@ TEST(EndToEnd, PerJobAccountingInvariants) {
   sim::SimConfig cfg;
   const core::MnofPolicy policy;
   sim::Simulation sim(cfg, policy, sim::make_grouped_predictor(trace));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
 
   ASSERT_GT(res.outcomes.size(), 0u);
   for (const auto& out : res.outcomes) {
@@ -69,7 +78,7 @@ TEST(EndToEnd, SequentialJobsAccountQueueSeparately) {
   sim::SimConfig cfg;
   const core::MnofPolicy policy;
   sim::Simulation sim(cfg, policy, sim::make_grouped_predictor(trace));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   for (const auto& out : res.outcomes) {
     if (!out.bag_of_tasks) {
       // For ST jobs, wall-clock ~= workload + overheads + queue (tasks never
@@ -89,7 +98,7 @@ TEST(EndToEnd, AdaptiveSurvivesPriorityChanges) {
   cfg.adaptation = core::AdaptationMode::kAdaptive;
   const core::MnofPolicy policy;
   sim::Simulation sim(cfg, policy, sim::make_grouped_predictor(trace));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   EXPECT_EQ(res.incomplete_jobs, 0u);
   EXPECT_GT(res.average_wpr(), 0.5);
 }
@@ -107,12 +116,12 @@ TEST(EndToEnd, SharedNfsContentionHurtsUnderLoad) {
   dm_cfg.placement = sim::PlacementMode::kForceShared;
   dm_cfg.shared_kind = storage::DeviceKind::kDmNfs;
 
-  const auto nfs_res =
-      sim::Simulation(nfs_cfg, policy, sim::make_grouped_predictor(trace))
-          .run(trace);
-  const auto dm_res =
-      sim::Simulation(dm_cfg, policy, sim::make_grouped_predictor(trace))
-          .run(trace);
+  const auto nfs_res = replay(
+      sim::Simulation(nfs_cfg, policy, sim::make_grouped_predictor(trace)),
+      trace);
+  const auto dm_res = replay(
+      sim::Simulation(dm_cfg, policy, sim::make_grouped_predictor(trace)),
+      trace);
   EXPECT_GE(dm_res.average_wpr(), nfs_res.average_wpr());
 }
 
@@ -124,12 +133,11 @@ TEST(EndToEnd, TraceRoundTripGivesIdenticalSimulation) {
 
   const core::MnofPolicy policy;
   sim::SimConfig cfg;
-  const auto r1 =
-      sim::Simulation(cfg, policy, sim::make_grouped_predictor(trace))
-          .run(trace);
-  const auto r2 =
-      sim::Simulation(cfg, policy, sim::make_grouped_predictor(loaded))
-          .run(loaded);
+  const auto r1 = replay(
+      sim::Simulation(cfg, policy, sim::make_grouped_predictor(trace)), trace);
+  const auto r2 = replay(
+      sim::Simulation(cfg, policy, sim::make_grouped_predictor(loaded)),
+      loaded);
   ASSERT_EQ(r1.outcomes.size(), r2.outcomes.size());
   for (std::size_t i = 0; i < r1.outcomes.size(); ++i) {
     EXPECT_NEAR(r1.outcomes[i].wallclock_s, r2.outcomes[i].wallclock_s, 1e-6);

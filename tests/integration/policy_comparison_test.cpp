@@ -27,13 +27,22 @@ trace::Trace make_trace(std::uint64_t seed, double hours,
   return trace::TraceGenerator(cfg).generate();
 }
 
+/// Replays `trace` through the trace-backed source (records borrowed).
+sim::SimResult replay(sim::Simulation& sim, const trace::Trace& trace) {
+  sim::TraceJobSource source(trace);
+  return sim.run(source);
+}
+sim::SimResult replay(sim::Simulation&& sim, const trace::Trace& trace) {
+  return replay(sim, trace);
+}
+
 double run_wpr(const trace::Trace& trace, const core::CheckpointPolicy& policy,
                const sim::StatsPredictor& predictor,
                core::AdaptationMode mode = core::AdaptationMode::kAdaptive) {
   sim::SimConfig cfg;
   cfg.adaptation = mode;
   sim::Simulation sim(cfg, policy, predictor);
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   EXPECT_GT(res.outcomes.size(), 0u);
   return res.average_wpr();
 }
@@ -68,8 +77,8 @@ TEST(PolicyComparison, MajorityOfJobsFasterUnderFormula3) {
   const auto grouped = sim::make_grouped_predictor(trace);
 
   sim::SimConfig cfg;
-  const auto res_m = sim::Simulation(cfg, mnof, grouped).run(trace);
-  const auto res_y = sim::Simulation(cfg, young, grouped).run(trace);
+  const auto res_m = replay(sim::Simulation(cfg, mnof, grouped), trace);
+  const auto res_y = replay(sim::Simulation(cfg, young, grouped), trace);
 
   // Pair outcomes by job id (identical kill sequences by construction).
   std::map<std::uint64_t, double> tw_young;
@@ -135,9 +144,9 @@ TEST(PolicyComparison, AutoStorageSelectionAtLeastMatchesForcedShared) {
   shared_cfg.placement = sim::PlacementMode::kForceShared;
 
   const auto auto_res =
-      sim::Simulation(auto_cfg, policy, grouped).run(trace);
+      replay(sim::Simulation(auto_cfg, policy, grouped), trace);
   const auto shared_res =
-      sim::Simulation(shared_cfg, policy, grouped).run(trace);
+      replay(sim::Simulation(shared_cfg, policy, grouped), trace);
   EXPECT_GE(auto_res.average_wpr() + 0.005, shared_res.average_wpr());
 }
 

@@ -262,7 +262,8 @@ sim::SimResult run_with(const trace::Trace& trace,
   config.cluster = {1, 1, 100.0};
   config.scheduler = scheduler;
   sim::Simulation simulation(config, *policy, sim::make_oracle_predictor());
-  return simulation.run(trace);
+  sim::TraceJobSource source(trace);
+  return simulation.run(source);
 }
 
 TEST(SchedulingStage, FcfsMatchesNoSchedulerAndReportsZeroWaits) {
@@ -333,7 +334,8 @@ TEST(SchedulingStage, EasyBackfillRunsAShortJobAroundTheReservation) {
   config.cluster = {2, 1, 100.0};
   config.scheduler = easy.get();
   sim::Simulation simulation(config, *policy, sim::make_oracle_predictor());
-  const sim::SimResult result = simulation.run(trace);
+  sim::TraceJobSource source(trace);
+  const sim::SimResult result = simulation.run(source);
 
   ASSERT_EQ(result.outcomes.size(), 3u);
   EXPECT_EQ(result.backfilled_jobs, 1u);

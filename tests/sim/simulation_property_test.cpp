@@ -38,6 +38,15 @@ trace::Trace sweep_trace() {
   return trace::TraceGenerator(cfg).generate();
 }
 
+/// Replays `trace` through the trace-backed source (records borrowed).
+SimResult replay(Simulation& sim, const trace::Trace& trace) {
+  TraceJobSource source(trace);
+  return sim.run(source);
+}
+SimResult replay(Simulation&& sim, const trace::Trace& trace) {
+  return replay(sim, trace);
+}
+
 class SimulationInvariants : public ::testing::TestWithParam<SweepCase> {
  protected:
   SimResult run() {
@@ -49,7 +58,7 @@ class SimulationInvariants : public ::testing::TestWithParam<SweepCase> {
     cfg.shared_kind = p.shared;
     const auto policy = make_policy(p.policy);
     Simulation sim(cfg, *policy, make_grouped_predictor(trace));
-    auto res = sim.run(trace);
+    auto res = replay(sim, trace);
     EXPECT_EQ(res.outcomes.size() + res.incomplete_jobs, trace.job_count());
     return res;
   }
@@ -177,7 +186,7 @@ TEST(SimulationRefunds, KillDuringCheckpointRefundsUnspentCost) {
   SimConfig cfg;
   cfg.placement = PlacementMode::kForceShared;
   Simulation sim(cfg, policy, stats_of(1.0, 100.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   const auto& o = res.outcomes.front();
   // Only the elapsed 0.5 s of checkpoint work may be charged for the
@@ -200,7 +209,7 @@ TEST(SimulationRefunds, KillDuringRestoreRefundsUnspentRestart) {
   SimConfig cfg;
   cfg.placement = PlacementMode::kForceShared;
   Simulation sim(cfg, policy, stats_of(0.0, 0.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   const auto& o = res.outcomes.front();
   EXPECT_EQ(o.failures, 2u);
@@ -219,7 +228,7 @@ TEST(SimulationPredictorHook, UnderPredictionStopsCheckpointingEarly) {
   // Planner believes the task is only 350 s long.
   cfg.length_predictor = [](const trace::TaskRecord&) { return 350.0; };
   Simulation sim(cfg, policy, stats_of(1.0, 100.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   // Checkpoints at 100, 200, 300 only (positions beyond the predicted end
   // are not scheduled); with exact prediction there would be nine.
@@ -235,9 +244,9 @@ TEST(SimulationPredictorHook, ExactPredictorMatchesDefault) {
   };
   SimConfig without_hook;
   const auto r1 =
-      Simulation(with_hook, policy, stats_of(1.5, 200.0)).run(mk());
+      replay(Simulation(with_hook, policy, stats_of(1.5, 200.0)), mk());
   const auto r2 =
-      Simulation(without_hook, policy, stats_of(1.5, 200.0)).run(mk());
+      replay(Simulation(without_hook, policy, stats_of(1.5, 200.0)), mk());
   ASSERT_EQ(r1.outcomes.size(), 1u);
   ASSERT_EQ(r2.outcomes.size(), 1u);
   EXPECT_DOUBLE_EQ(r1.outcomes[0].wallclock_s, r2.outcomes[0].wallclock_s);

@@ -52,12 +52,21 @@ SimConfig default_config() {
   return cfg;
 }
 
+/// Replays `trace` through the trace-backed source (records borrowed).
+SimResult replay(Simulation& sim, const Trace& trace) {
+  TraceJobSource source(trace);
+  return sim.run(source);
+}
+SimResult replay(Simulation&& sim, const Trace& trace) {
+  return replay(sim, trace);
+}
+
 TEST(Simulation, FailureFreeTaskHasOnlyCheckpointOverhead) {
   const auto trace =
       one_job(JobStructure::kSequentialTasks, {make_task(400.0, 160.0, 2)});
   const core::MnofPolicy policy;
   Simulation sim(default_config(), policy, fixed_stats(2.0, 200.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
 
   ASSERT_EQ(res.outcomes.size(), 1u);
   const auto& out = res.outcomes.front();
@@ -78,7 +87,7 @@ TEST(Simulation, NoFailuresZeroMnofMeansNoCheckpoints) {
       one_job(JobStructure::kSequentialTasks, {make_task(400.0, 160.0, 2)});
   const core::MnofPolicy policy;
   Simulation sim(default_config(), policy, fixed_stats(0.0, 0.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   EXPECT_EQ(res.outcomes.front().checkpoints, 0u);
   EXPECT_DOUBLE_EQ(res.outcomes.front().wallclock_s, 400.0);
@@ -93,7 +102,7 @@ TEST(Simulation, ConservationOfWallclock) {
       {make_task(400.0, 160.0, 2, {100.0, 250.0})});
   const core::MnofPolicy policy;
   Simulation sim(default_config(), policy, fixed_stats(2.0, 150.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   const auto& out = res.outcomes.front();
   EXPECT_EQ(out.failures, 2u);
@@ -108,7 +117,7 @@ TEST(Simulation, FailureCausesRollbackAndRestartCost) {
                              {make_task(400.0, 160.0, 2, {200.0})});
   const core::MnofPolicy policy;
   Simulation sim(default_config(), policy, fixed_stats(1.0, 200.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   const auto& out = res.outcomes.front();
   EXPECT_EQ(out.failures, 1u);
@@ -122,7 +131,7 @@ TEST(Simulation, NoCheckpointPolicyLosesAllProgressOnFailure) {
                              {make_task(400.0, 160.0, 2, {300.0})});
   const core::NoCheckpointPolicy policy;
   Simulation sim(default_config(), policy, fixed_stats(1.0, 200.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   const auto& out = res.outcomes.front();
   EXPECT_EQ(out.checkpoints, 0u);
@@ -135,7 +144,7 @@ TEST(Simulation, CheckpointBoundsRollbackLoss) {
                              {make_task(400.0, 160.0, 2, {300.0})});
   const core::FixedIntervalPolicy policy(50.0);
   Simulation sim(default_config(), policy, fixed_stats(1.0, 200.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   // With checkpoints every 50 s of work, at most ~50 s + one checkpoint
   // period can be lost.
@@ -148,7 +157,7 @@ TEST(Simulation, SequentialTasksRunInOrder) {
       {make_task(100.0, 160.0, 2), make_task(100.0, 160.0, 2)});
   const core::MnofPolicy policy;
   Simulation sim(default_config(), policy, fixed_stats(0.0, 0.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   // Two sequential 100 s tasks -> 200 s wall-clock.
   EXPECT_NEAR(res.outcomes.front().wallclock_s, 200.0, 1e-6);
@@ -160,7 +169,7 @@ TEST(Simulation, BagOfTasksRunsInParallel) {
       {make_task(100.0, 160.0, 2), make_task(100.0, 160.0, 2)});
   const core::MnofPolicy policy;
   Simulation sim(default_config(), policy, fixed_stats(0.0, 0.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   // Parallel tasks complete together.
   EXPECT_NEAR(res.outcomes.front().wallclock_s, 100.0, 1e-6);
@@ -176,7 +185,7 @@ TEST(Simulation, MemoryPressureQueuesTasks) {
       {make_task(100.0, 600.0, 2), make_task(100.0, 600.0, 2)});
   const core::MnofPolicy policy;
   Simulation sim(cfg, policy, fixed_stats(0.0, 0.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   EXPECT_NEAR(res.outcomes.front().wallclock_s, 200.0, 1e-6);
   EXPECT_NEAR(res.outcomes.front().queue_s, 100.0, 1e-6);
@@ -191,7 +200,7 @@ TEST(Simulation, OversizedTaskIsRecordedAsUnschedulable) {
                              {make_task(100.0, 2048.0, 2)});
   const core::MnofPolicy policy;
   Simulation sim(cfg, policy, fixed_stats(0.0, 0.0));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
   EXPECT_EQ(res.incomplete_jobs, 0u);
   EXPECT_EQ(res.total_unschedulable, 1u);
@@ -210,7 +219,7 @@ TEST(Simulation, UnschedulableTaskDoesNotBlockSiblingsOrSuccessors) {
          make_task(100.0, 160.0, 2)});
     const core::MnofPolicy policy;
     Simulation sim(default_config(), policy, fixed_stats(0.0, 0.0));
-    const auto res = sim.run(trace);
+    const auto res = replay(sim, trace);
     ASSERT_EQ(res.outcomes.size(), 1u);
     const auto& out = res.outcomes.front();
     EXPECT_EQ(out.unschedulable_tasks, 1u);
@@ -224,7 +233,7 @@ TEST(Simulation, UnschedulableTaskDoesNotBlockSiblingsOrSuccessors) {
         {make_task(100.0, 4096.0, 2), make_task(100.0, 160.0, 2)});
     const core::MnofPolicy policy;
     Simulation sim(default_config(), policy, fixed_stats(0.0, 0.0));
-    const auto res = sim.run(trace);
+    const auto res = replay(sim, trace);
     ASSERT_EQ(res.outcomes.size(), 1u);
     const auto& out = res.outcomes.front();
     EXPECT_EQ(out.unschedulable_tasks, 1u);
@@ -241,25 +250,25 @@ TEST(Simulation, RunIsReusableAndWorkspacePoolingIsBitIdentical) {
   const auto trace = trace::TraceGenerator(gcfg).generate();
   const core::MnofPolicy policy;
 
-  const auto fresh = Simulation(default_config(), policy,
-                                make_grouped_predictor(trace))
-                         .run(trace);
+  const auto fresh = replay(
+      Simulation(default_config(), policy, make_grouped_predictor(trace)),
+      trace);
 
   // Same Simulation object, run twice: the second replay must match the
   // first bit-for-bit (engine, RNG, cluster, and backends all reset).
   Simulation reused(default_config(), policy, make_grouped_predictor(trace));
-  (void)reused.run(trace);
-  const auto second = reused.run(trace);
+  (void)replay(reused, trace);
+  const auto second = replay(reused, trace);
 
   // Shared workspace, previously used by a different scenario.
   ReplayWorkspace ws;
   SimConfig other = default_config();
   other.placement = PlacementMode::kForceShared;
-  (void)Simulation(other, policy, make_grouped_predictor(trace), &ws)
-      .run(trace);
-  const auto pooled = Simulation(default_config(), policy,
-                                 make_grouped_predictor(trace), &ws)
-                          .run(trace);
+  (void)replay(Simulation(other, policy, make_grouped_predictor(trace), &ws),
+               trace);
+  const auto pooled = replay(Simulation(default_config(), policy,
+                                        make_grouped_predictor(trace), &ws),
+                             trace);
 
   ASSERT_EQ(fresh.outcomes.size(), second.outcomes.size());
   ASSERT_EQ(fresh.outcomes.size(), pooled.outcomes.size());
@@ -285,9 +294,9 @@ TEST(Simulation, DetectionDelayExtendsWallclock) {
   SimConfig delayed = default_config();
   delayed.detection_delay_s = 30.0;
   const auto r0 =
-      Simulation(instant, policy, fixed_stats(1.0, 100.0)).run(mk_trace());
+      replay(Simulation(instant, policy, fixed_stats(1.0, 100.0)), mk_trace());
   const auto r1 =
-      Simulation(delayed, policy, fixed_stats(1.0, 100.0)).run(mk_trace());
+      replay(Simulation(delayed, policy, fixed_stats(1.0, 100.0)), mk_trace());
   ASSERT_EQ(r0.outcomes.size(), 1u);
   ASSERT_EQ(r1.outcomes.size(), 1u);
   EXPECT_NEAR(r1.outcomes.front().wallclock_s,
@@ -314,8 +323,8 @@ TEST(Simulation, PriorityChangeTriggersAdaptiveReplanning) {
   SimConfig static_cfg = default_config();
   static_cfg.adaptation = core::AdaptationMode::kStatic;
 
-  const auto ra = Simulation(adaptive, policy, predictor).run(mk_trace());
-  const auto rs = Simulation(static_cfg, policy, predictor).run(mk_trace());
+  const auto ra = replay(Simulation(adaptive, policy, predictor), mk_trace());
+  const auto rs = replay(Simulation(static_cfg, policy, predictor), mk_trace());
   ASSERT_EQ(ra.outcomes.size(), 1u);
   ASSERT_EQ(rs.outcomes.size(), 1u);
   // Adaptive reacts to the 20x MNOF by checkpointing far more often.
@@ -334,9 +343,9 @@ TEST(Simulation, PlacementModesChangeDeviceCosts) {
   SimConfig shared = default_config();
   shared.placement = PlacementMode::kForceShared;
   const auto rl =
-      Simulation(local, policy, fixed_stats(1.0, 200.0)).run(mk_trace());
+      replay(Simulation(local, policy, fixed_stats(1.0, 200.0)), mk_trace());
   const auto rs =
-      Simulation(shared, policy, fixed_stats(1.0, 200.0)).run(mk_trace());
+      replay(Simulation(shared, policy, fixed_stats(1.0, 200.0)), mk_trace());
   ASSERT_EQ(rl.outcomes.size(), 1u);
   ASSERT_EQ(rs.outcomes.size(), 1u);
   // Restart from local ramdisk pays migration type A (3.22 s at 160 MB) vs
@@ -352,12 +361,12 @@ TEST(Simulation, DeterministicAcrossRuns) {
   gcfg.arrival_rate = 0.05;
   const auto trace = trace::TraceGenerator(gcfg).generate();
   const core::MnofPolicy policy;
-  const auto r1 = Simulation(default_config(), policy,
-                             make_grouped_predictor(trace))
-                      .run(trace);
-  const auto r2 = Simulation(default_config(), policy,
-                             make_grouped_predictor(trace))
-                      .run(trace);
+  const auto r1 = replay(
+      Simulation(default_config(), policy, make_grouped_predictor(trace)),
+      trace);
+  const auto r2 = replay(
+      Simulation(default_config(), policy, make_grouped_predictor(trace)),
+      trace);
   ASSERT_EQ(r1.outcomes.size(), r2.outcomes.size());
   for (std::size_t i = 0; i < r1.outcomes.size(); ++i) {
     EXPECT_DOUBLE_EQ(r1.outcomes[i].wallclock_s, r2.outcomes[i].wallclock_s);
@@ -373,7 +382,7 @@ TEST(Simulation, WprIsAlwaysInUnitInterval) {
   const auto trace = trace::TraceGenerator(gcfg).generate();
   const core::MnofPolicy policy;
   Simulation sim(default_config(), policy, make_grouped_predictor(trace));
-  const auto res = sim.run(trace);
+  const auto res = replay(sim, trace);
   ASSERT_GT(res.outcomes.size(), 0u);
   for (const auto& out : res.outcomes) {
     EXPECT_GT(out.wpr(), 0.0);
@@ -395,11 +404,13 @@ TEST(Simulation, OracleBeatsWrongStatsOnAverage) {
   const auto trace = trace::TraceGenerator(gcfg).generate();
   const core::MnofPolicy policy;
   const auto oracle =
-      Simulation(default_config(), policy, make_oracle_predictor()).run(trace);
+      replay(Simulation(default_config(), policy, make_oracle_predictor()),
+             trace);
   // Deliberately terrible stats: hugely overestimated MNOF wastes time on
   // excess checkpoints.
   const auto wrong =
-      Simulation(default_config(), policy, fixed_stats(500.0, 1.0)).run(trace);
+      replay(Simulation(default_config(), policy, fixed_stats(500.0, 1.0)),
+             trace);
   ASSERT_GT(oracle.outcomes.size(), 0u);
   EXPECT_GT(oracle.average_wpr(), wrong.average_wpr());
 }

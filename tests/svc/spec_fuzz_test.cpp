@@ -1,6 +1,7 @@
 // Fuzz-style hardening of the scenario grammar the service trusts: 10k
 // seeded-random key=value soups — valid keys in shuffled order, duplicated
-// keys, truncated values, junk keys, junk bytes, comments, blanks — pushed
+// keys, truncated values, NaN spellings, junk keys, junk bytes, comments,
+// blanks — pushed
 // through parse -> serialize -> parse. The contract under fuzz:
 //
 //   - a soup that parses must round-trip canonically: serialize(parse(x))
@@ -91,6 +92,7 @@ std::string junk_value(std::mt19937_64& rng) {
       "",      "  ",     "1e999",    "abc",   "1.5x", "--3",
       "1e",    "true!",  "\\q",      "0x10",  ".",    "+-1",
       "99999999999999999999999999999999999",  "1 2",  "\x01\x7f",
+      "nan",   "-NaN",   "nan(0x1)",
   };
   std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
   return pool[pick(rng)];
