@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
 
   auto day = bench::day_trace_spec();
-  args.apply(day);
+  args.trace.apply(day);
   auto changing = bench::day_trace_spec(/*priority_change=*/true);
-  args.apply(changing);
+  args.trace.apply(changing);
 
   auto make = [&](const std::string& name, const std::string& policy,
                   const std::string& predictor, sim::PlacementMode placement,
@@ -103,5 +103,7 @@ int main(int argc, char** argv) {
 
   std::cout << "expected: group estimation hurts Young far more than "
                "Formula (3); oracle inputs make them coincide\n";
-  return args.export_artifacts(artifacts) ? 0 : 1;
+  const bool exported =
+      bench::export_artifacts(args.json_path, args.csv_path, artifacts);
+  return exported ? 0 : 1;
 }

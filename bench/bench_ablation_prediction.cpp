@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv, /*exports=*/false);
 
   auto tspec = bench::day_trace_spec();
-  args.apply(tspec);
+  args.trace.apply(tspec);
   const auto spec = bench::scenario("ablation_prediction", tspec, "formula3",
                                     "grouped");
   // One shared replay trace and one shared grouped predictor across the

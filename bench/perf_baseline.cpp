@@ -14,10 +14,6 @@
 //   perf_baseline --update BASE.json      rewrite the baseline in place
 //   perf_baseline --tolerance 0.20        relative slowdown allowed by --check
 //   perf_baseline --reps N                timed repetitions per metric (def 5)
-//   perf_baseline --only SUBSTR           run only matrix metrics whose name
-//                                         contains SUBSTR (the CI obs-overhead
-//                                         A/B uses --only replay_hour; not
-//                                         combinable with --check)
 //
 // Month-scale memory mode (separate from the wall-time matrix — peak RSS is
 // process-wide and monotone, so each mode needs its own process):
@@ -331,19 +327,13 @@ std::string google_fixture() {
   return path;
 }
 
-/// Runs the matrix, restricted to metrics whose name contains `only` (empty
-/// = all). The CI obs-overhead A/B times `--only replay_hour` in an ON and
-/// an OFF build and compares the two JSON documents.
-std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
+/// Runs the matrix.
+std::vector<Metric> run_matrix(std::size_t reps) {
   std::vector<Metric> metrics;
-  const auto want = [&only](const char* name) {
-    return only.empty() || std::string(name).find(only) != std::string::npos;
-  };
 
   // -- event-queue substrate -------------------------------------------------
-  if (want("queue_schedule_drain_100k")) {
-    metrics.push_back(time_metric(
-        "queue_schedule_drain_100k", "events/s", reps, [] {
+  metrics.push_back(time_metric(
+      "queue_schedule_drain_100k", "events/s", reps, [] {
         const std::size_t n = 100000;
         sim::EventQueue q;
         for (std::size_t i = 0; i < n; ++i) {
@@ -352,18 +342,15 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
         while (!q.empty()) q.pop();
         return n;
       }));
-  }
-  if (want("engine_cascade_10k")) {
-    metrics.push_back(time_metric("engine_cascade_10k", "events/s", reps, [] {
-      sim::Engine e;
-      int count = 0;
-      std::function<void()> chain = [&] {
-        if (++count < 10000) e.schedule_in(1.0, chain);
-      };
-      e.schedule_at(0.0, chain);
-      return e.run();
-    }));
-  }
+  metrics.push_back(time_metric("engine_cascade_10k", "events/s", reps, [] {
+    sim::Engine e;
+    int count = 0;
+    std::function<void()> chain = [&] {
+      if (++count < 10000) e.schedule_in(1.0, chain);
+    };
+    e.schedule_at(0.0, chain);
+    return e.run();
+  }));
 
   // -- scheduler decide() over a deep backfill queue -------------------------
   // decide() is stateless, so every round re-derives the shadow/profile
@@ -372,9 +359,8 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
   // profile is the superlinear part, so the queue here is deep for a
   // replay but small in absolute terms) on a contended 48-deep queue
   // against a 24-job running set.
-  if (want("sched_backfill_decide")) {
-    metrics.push_back(time_metric(
-        "sched_backfill_decide", "decides/s", reps, []() -> std::size_t {
+  metrics.push_back(time_metric(
+      "sched_backfill_decide", "decides/s", reps, []() -> std::size_t {
         constexpr std::size_t kQueue = 48;
         constexpr std::size_t kRunning = 24;
         constexpr std::size_t kRounds = 40;
@@ -416,10 +402,9 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
         }
         return decides;
       }));
-  }
 
   // -- synthetic replay, serial (pooled workspace, replay only) --------------
-  if (want("replay_hour_serial")) {
+  {
     const api::ScenarioRunner runner(hour_spec());
     const auto trace = api::make_replay_trace(runner.spec().trace);
     api::RunHooks hooks;
@@ -438,7 +423,6 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     std::ostringstream name;
     name << "batch_grid_threads" << threads;
-    if (!want(name.str().c_str())) continue;
     api::BatchOptions options;
     options.threads = threads;
     const api::BatchRunner runner(options);
@@ -452,36 +436,32 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
   }
 
   // -- ingested Google-format workload: parse, then replay -------------------
-  if (want("ingest_google_6h") || want("replay_google_6h")) {
+  {
     const std::string fixture = google_fixture();
-    if (want("ingest_google_6h")) {
-      metrics.push_back(time_metric(
-          "ingest_google_6h", "rows/s", reps, [&]() -> std::size_t {
-            const auto result =
-                ingest::TraceSourceRegistry::instance()
-                    .make("google:" + fixture)
-                    ->load();
-            return result.report.rows_used;
-          }));
-    }
+    metrics.push_back(
+        time_metric("ingest_google_6h", "rows/s", reps, [&]() -> std::size_t {
+          const auto result =
+              ingest::TraceSourceRegistry::instance()
+                  .make("google:" + fixture)
+                  ->load();
+          return result.report.rows_used;
+        }));
 
-    if (want("replay_google_6h")) {
-      api::ScenarioSpec spec = hour_spec();
-      spec.name = "perf_google_replay";
-      spec.trace.source = "google:" + fixture;
-      const api::ScenarioRunner runner(spec);
-      const auto trace = api::make_replay_trace(runner.spec().trace);
-      api::RunHooks hooks;
-      sim::ReplayWorkspace workspace;
-      hooks.workspace = &workspace;
-      hooks.replay_trace = &trace;
-      hooks.predictor_override = api::PredictorRegistry::instance().make(
-          "grouped", trace);
-      metrics.push_back(
-          time_metric("replay_google_6h", "events/s", reps, [&] {
-            return runner.run(hooks).result.events_dispatched;
-          }));
-    }
+    api::ScenarioSpec spec = hour_spec();
+    spec.name = "perf_google_replay";
+    spec.trace.source = "google:" + fixture;
+    const api::ScenarioRunner runner(spec);
+    const auto trace = api::make_replay_trace(runner.spec().trace);
+    api::RunHooks hooks;
+    sim::ReplayWorkspace workspace;
+    hooks.workspace = &workspace;
+    hooks.replay_trace = &trace;
+    hooks.predictor_override = api::PredictorRegistry::instance().make(
+        "grouped", trace);
+    metrics.push_back(
+        time_metric("replay_google_6h", "events/s", reps, [&] {
+          return runner.run(hooks).result.events_dispatched;
+        }));
   }
 
   return metrics;
@@ -590,7 +570,6 @@ int main(int argc, char** argv) {
   std::string month_predictor;
   std::string obs_value;
   std::string probe_csv_path;
-  std::string only;
   double tolerance = 0.20;
   double max_rss_mb = 0.0;
   std::size_t reps = 5;
@@ -618,8 +597,6 @@ int main(int argc, char** argv) {
       obs_value = value();
     } else if (arg == "--probe-csv") {
       probe_csv_path = value();
-    } else if (arg == "--only") {
-      only = value();
     } else if (arg == "--max-rss-mb") {
       max_rss_mb = std::strtod(value().c_str(), nullptr);
     } else if (arg == "--tolerance") {
@@ -630,8 +607,7 @@ int main(int argc, char** argv) {
       if (reps == 0) reps = 1;
     } else if (arg == "-h" || arg == "--help") {
       std::cout << "usage: perf_baseline [--json OUT] [--check BASE] "
-                   "[--update BASE] [--tolerance T] [--reps N] "
-                   "[--only SUBSTR]\n"
+                   "[--update BASE] [--tolerance T] [--reps N]\n"
                    "       perf_baseline --month-scale streamed|materialized "
                    "[--predictor KEY] [--max-rss-mb M] [--json OUT] "
                    "[--obs SPEC] [--probe-csv OUT]\n";
@@ -653,18 +629,7 @@ int main(int argc, char** argv) {
                  "runs\n";
     return 2;
   }
-  // A filtered run produces a partial document; gating it against a full
-  // baseline would report every skipped metric as missing.
-  if (!only.empty() && !check_path.empty()) {
-    std::cerr << "--only cannot be combined with --check\n";
-    return 2;
-  }
-
-  const auto metrics = run_matrix(reps, only);
-  if (metrics.empty()) {
-    std::cerr << "--only '" << only << "' matched no metrics\n";
-    return 2;
-  }
+  const auto metrics = run_matrix(reps);
 
   std::printf("%-28s %12s %16s\n", "metric", "wall (ms)", "throughput");
   for (const auto& m : metrics) {

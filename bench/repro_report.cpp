@@ -24,17 +24,28 @@
 //   repro_report --progress                  live per-artifact stderr line
 //                                            (done/total, jobs/s, ETA)
 //   repro_report --stats                     collect + print the merged obs
-//                                            counter registry (non-empty in
-//                                            -DCLOUDCR_OBS=ON builds)
+//                                            counter registry
 //   repro_report --probe-interval S          sample time-series probes every
 //                                            S simulated seconds; one CSV
 //                                            per scenario (see --probes-out)
 //   repro_report --probes-out DIR            probe CSV directory (default .)
+//   repro_report --trace-out PATH            Chrome trace-event JSON per
+//                                            scenario ("{name}" expands to
+//                                            the scenario name)
+//   repro_report --artifacts-json PATH       export the selected entries'
+//   repro_report --artifacts-csv PATH        RunArtifacts (JSON / CSV
+//                                            summary rows, in spec order)
+//   repro_report --seed N --horizon S        replace the trace inputs of
+//                --jobs N --trace SPEC       every entry (SPEC: "synthetic",
+//                                            "csv:<path>", "google:<path>",
+//                                            "slurm:<path>")
 //
 // Exit codes: 0 gate passed (or skipped), 1 gate failed, 2 CLI/IO error.
 //
 // The obs flags are additive: they never change metrics, so the
-// expected-value gate still applies to instrumented runs.
+// expected-value gate still applies to instrumented runs. The trace flags
+// do change them; expectations are pinned to the default specs, so any of
+// them skips the gate (exit 0) and rules out --update-expected.
 //
 // Results are deterministic per machine and thread-count independent
 // (BatchRunner pins bit-identity); the per-metric tolerances absorb
@@ -54,6 +65,7 @@
 #include <vector>
 
 #include "api/scenario.hpp"
+#include "bench_args.hpp"
 #include "obs/probe.hpp"
 #include "obs/spec.hpp"
 #include "obs/stats.hpp"
@@ -180,14 +192,19 @@ int main(int argc, char** argv) {
   bool stats = false;
   double probe_interval_s = 0.0;
   std::string probes_dir = ".";
+  std::string trace_out;
   std::size_t threads = 0;
   std::string md_path;
   std::string json_path;
+  std::string artifacts_json_path;
+  std::string artifacts_csv_path;
   std::string docs_path;
   std::string update_path;
   std::string expected_path = report::default_expected_path();
+  bench::TraceOverrides overrides;
 
   for (int i = 1; i < argc; ++i) {
+    if (overrides.parse_flag(argc, argv, i)) continue;
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) {
@@ -207,17 +224,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--fast") {
       fast_only = true;
     } else if (arg == "--threads") {
-      try {
-        threads = static_cast<std::size_t>(
-            cloudcr::api::parse_checked_u64("--threads", value()));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
+      threads = static_cast<std::size_t>(bench::u64_flag(argc, argv, i));
     } else if (arg == "--md") {
       md_path = value();
     } else if (arg == "--json") {
       json_path = value();
+    } else if (arg == "--artifacts-json") {
+      artifacts_json_path = value();
+    } else if (arg == "--artifacts-csv") {
+      artifacts_csv_path = value();
     } else if (arg == "--docs") {
       docs_path = value();
     } else if (arg == "--expected") {
@@ -233,19 +248,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--probe-interval") {
-      try {
-        probe_interval_s =
-            cloudcr::api::parse_checked_double("--probe-interval", value());
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
+      probe_interval_s = bench::double_flag(argc, argv, i);
       if (!(probe_interval_s > 0.0)) {
         std::cerr << "--probe-interval must be > 0\n";
         return 2;
       }
     } else if (arg == "--probes-out") {
       probes_dir = value();
+    } else if (arg == "--trace-out") {
+      trace_out = value();
     } else if (arg == "-h" || arg == "--help") {
       std::cout
           << "usage: repro_report [--list] [--only IDS] [--fast]\n"
@@ -254,7 +265,12 @@ int main(int argc, char** argv) {
              "FILE]\n"
              "                    [--docs OUT] [--verbose] [--no-gate]\n"
              "                    [--progress] [--stats]\n"
-             "                    [--probe-interval S] [--probes-out DIR]\n";
+             "                    [--probe-interval S] [--probes-out DIR]\n"
+             "                    [--trace-out PATH]\n"
+             "                    [--artifacts-json PATH] "
+             "[--artifacts-csv PATH]\n"
+             "                    [--seed N] [--horizon S] [--jobs N] "
+             "[--trace SPEC]\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << " (try --help)\n";
@@ -272,17 +288,29 @@ int main(int argc, char** argv) {
                : 2;
   }
 
+  const bool trace_overridden = overrides.any();
+  if (trace_overridden && !update_path.empty()) {
+    std::cerr << "--update-expected cannot be combined with --seed, "
+                 "--horizon, --jobs or --trace (expectations are pinned to "
+                 "the default specs)\n";
+    return 2;
+  }
+
   report::ReportOptions options;
   options.only = only;
   options.fast_only = fast_only;
   options.threads = threads;
   if (verbose) options.human = &std::cout;
   if (progress) options.progress = ProgressLine{};
-  if (stats || probe_interval_s > 0.0) {
-    obs::ObsSpec obs_spec;
-    obs_spec.stats = stats;
-    obs_spec.probe_interval_s = probe_interval_s;
-    options.obs = obs::serialize_obs(obs_spec);
+  obs::ObsSpec obs_spec;
+  obs_spec.stats = stats;
+  obs_spec.probe_interval_s = probe_interval_s;
+  obs_spec.trace_path = trace_out;
+  options.obs = obs::serialize_obs(obs_spec);
+  if (trace_overridden) {
+    options.trace_override = [&overrides](api::TraceSpec& spec) {
+      overrides.apply(spec);
+    };
   }
 
   report::ReportResult result;
@@ -331,7 +359,7 @@ int main(int argc, char** argv) {
   // Compare each entry against the expected document (when available).
   report::ExpectedDoc expected;
   bool have_expected = false;
-  if (!expected_path.empty()) {
+  if (!trace_overridden && !expected_path.empty()) {
     try {
       expected = report::read_expected_file(expected_path);
       have_expected = true;
@@ -396,8 +424,22 @@ int main(int argc, char** argv) {
                         },
                         "reproduction report");
   }
+  if (!artifacts_json_path.empty() || !artifacts_csv_path.empty()) {
+    std::vector<api::RunArtifact> artifacts;
+    for (const auto& er : entries) {
+      artifacts.insert(artifacts.end(), er.result.artifacts.begin(),
+                       er.result.artifacts.end());
+    }
+    io_ok &= bench::export_artifacts(artifacts_json_path, artifacts_csv_path,
+                                     artifacts);
+  }
   if (!io_ok) return 2;
 
+  if (trace_overridden) {
+    std::cout << "expected-value gate: skipped: trace overridden "
+                 "(expectations are pinned to the default specs)\n";
+    return 0;
+  }
   if (summary.compared == 0) {
     std::cout << "expected-value gate: skipped (no expectations "
                  "available)\n";

@@ -1,6 +1,7 @@
 #include "api/scenario.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <locale>
 #include <sstream>
@@ -124,18 +125,15 @@ bool apply_trace_key(TraceSpec& t, const std::string& key,
 
 double parse_checked_double(const std::string& label,
                             const std::string& text) {
-  double v = 0.0;
   try {
-    v = trace::csv::parse_double(label, text, 0);
+    return trace::csv::parse_double(label, text, 0);
   } catch (const std::runtime_error& e) {
+    // A NaN names the key and its value, like the other spec errors.
+    if (std::isnan(std::strtod(text.c_str(), nullptr))) {
+      throw std::invalid_argument(label + " = '" + text + "': not a number");
+    }
     throw std::invalid_argument(e.what());
   }
-  // strtod accepts "nan" in every spelling; no spec field means anything
-  // by it, and a NaN slips past every later range comparison.
-  if (std::isnan(v)) {
-    throw std::invalid_argument(label + " = '" + text + "': not a number");
-  }
-  return v;
 }
 
 std::uint64_t parse_checked_u64(const std::string& label,

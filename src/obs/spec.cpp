@@ -23,6 +23,10 @@ double parse_double(const std::string& label, const std::string& text) {
     throw std::invalid_argument("obs " + label + ": malformed number '" +
                                 text + "'");
   }
+  if (std::isnan(v)) {
+    throw std::invalid_argument("obs " + label + ": not a number '" + text +
+                                "'");
+  }
   return v;
 }
 
@@ -41,12 +45,27 @@ std::uint64_t parse_u64(const std::string& label, const std::string& text) {
   return static_cast<std::uint64_t>(v);
 }
 
+/// Max-digits10 text without an exponent '+' (strtod reads "1e20" the
+/// same), since '+' separates features.
 std::string format_double(double v) {
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
   std::ostringstream os;
   os.precision(17);
   os << v;
-  return os.str();
+  std::string text = os.str();
+  if (const auto plus = text.find("e+"); plus != std::string::npos) {
+    text.erase(plus + 1, 1);
+  }
+  return text;
+}
+
+/// Index of the '-' between the two window bounds: the first one that
+/// neither leads the text nor follows an exponent marker ("1e-3-10").
+std::size_t window_dash(const std::string& arg) {
+  for (std::size_t i = 1; i < arg.size(); ++i) {
+    if (arg[i] == '-' && arg[i - 1] != 'e' && arg[i - 1] != 'E') return i;
+  }
+  return std::string::npos;
 }
 
 }  // namespace
@@ -120,8 +139,7 @@ ObsSpec parse_obs(const std::string& text) {
       }
       spec.trace_path = arg;
     } else if (key == "window") {
-      const std::size_t dash = arg.find('-', 1);  // allow a leading '-'? no:
-      // window bounds are nonnegative sim times, so '-' is a clean split.
+      const std::size_t dash = window_dash(arg);
       if (dash == std::string::npos) {
         throw std::invalid_argument(
             "obs window: expected '<t0>-<t1>', got '" + arg + "'");

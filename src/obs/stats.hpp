@@ -13,10 +13,8 @@
 /// grid pin "serial == threaded" for observability output too.
 ///
 /// Stats are registered as namespace-scope objects (the built-ins live in
-/// obs::st below); hot call sites go through the CLOUDCR_OBS_* macros in
-/// obs/hooks.hpp, which compile to nothing unless the build enables the
-/// instrumentation hooks (cmake -DCLOUDCR_OBS=ON). This header itself is
-/// always compiled, so the registry is unit-testable in every build.
+/// obs::st below). The replay keeps plain per-run tallies and flushes them
+/// here only when the run asks for stats (SimConfig::collect_stats).
 ///
 /// Collector lifetime: a thread's collector is owned by the global
 /// registry and survives the thread, so counts flushed by BatchRunner

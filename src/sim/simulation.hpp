@@ -36,7 +36,6 @@
 
 #include "core/controller.hpp"
 #include "core/policy.hpp"
-#include "obs/hooks.hpp"
 #include "sim/cluster.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
@@ -346,11 +345,11 @@ class Simulation {
   void preempt_job_tasks(std::uint32_t job_slot, sched::PreemptMode mode);
 
   // -- observability ----------------------------------------------------------
-  // Probe sampling is always compiled: it rides the admission-loop boundary
-  // (pump_probes_before / drain_probes chunk the existing engine drains at
-  // probe ticks), so it adds no engine events and cannot change results.
-  // Counter tallies and tracer emission are compiled out with the hooks
-  // (obs/hooks.hpp) unless -DCLOUDCR_OBS=ON.
+  // Probe sampling rides the admission-loop boundary (pump_probes_before /
+  // drain_probes chunk the existing engine drains at probe ticks), so it adds
+  // no engine events and cannot change results. Counter tallies always run;
+  // they reach the registry only when SimConfig::collect_stats is set, and
+  // tracer emission happens only when SimConfig::tracer is non-null.
   /// Dispatches events and takes probe samples up to (excluding) `t_stop`,
   /// accumulating dispatched-event counts into the result.
   void pump_probes_before(double t_stop);
@@ -359,7 +358,6 @@ class Simulation {
   /// Snapshots cluster/queue/job state at simulated time `t_s`.
   void take_probe(double t_s);
 
-#if CLOUDCR_OBS_ENABLED
   /// Per-run event tallies, flushed into the process-wide obs registry at
   /// end_run when SimConfig::collect_stats is set. Deterministic quantities
   /// only, so serial and threaded batch runs merge to identical registries.
@@ -373,17 +371,23 @@ class Simulation {
     std::uint64_t stream_batches = 0;
   };
   void flush_stats();
+  /// True when the run writes a trace. Every trace_* call is guarded by it,
+  /// and the emitters are cold, so an untraced replay pays one predictable
+  /// branch per call site and keeps the emitters out of its hot code.
+  [[nodiscard]] bool tracing() const noexcept {
+    return config_.tracer != nullptr;
+  }
   /// Records the start of the task's current phase span (and VM residency
   /// when `vm_too`), growing the side arrays to the task table on demand.
-  void trace_begin_span(std::size_t task_idx, double t, bool vm_too);
+  [[gnu::cold]] void trace_begin_span(std::size_t task_idx, double t,
+                                      bool vm_too);
   /// Emits the task's current phase span ([recorded start, t_end]) on its
   /// job track; no-op when the phase has no span name.
-  void trace_end_span(std::size_t task_idx, double t_end);
+  [[gnu::cold]] void trace_end_span(std::size_t task_idx, double t_end);
   /// Emits an instant marker (failure / evict) on the task's job track.
-  void trace_instant(std::size_t task_idx, const char* name);
+  [[gnu::cold]] void trace_instant(std::size_t task_idx, const char* name);
   /// Emits the VM-residency span ending now on the VM track.
-  void trace_vm_leave(std::size_t task_idx);
-#endif
+  [[gnu::cold]] void trace_vm_leave(std::size_t task_idx);
 
   // -- helpers ---------------------------------------------------------------
   /// Accrues active (and productive) time since the last sync.
@@ -437,11 +441,9 @@ class Simulation {
   std::uint64_t probe_active_jobs_ = 0;    ///< admitted, not yet finished
   double probe_wpr_sum_ = 0.0;  ///< running sum of completed jobs' WPR
   std::uint64_t probe_wpr_n_ = 0;
-#if CLOUDCR_OBS_ENABLED
   ObsTally tally_;
   std::vector<double> trace_task_start_;  ///< phase-span start per task row
   std::vector<double> trace_vm_start_;    ///< VM-residency start per task row
-#endif
 
   SimResult result_;
 };

@@ -12,8 +12,8 @@
 #include "api/fingerprint.hpp"
 #include "api/registry.hpp"
 #include "api/stream.hpp"
-#include "obs/hooks.hpp"
 #include "obs/probe.hpp"
+#include "obs/stats.hpp"
 #include "sched/registry.hpp"
 #include "sim/simulation.hpp"
 
@@ -172,14 +172,14 @@ SimService::ArtifactFuture SimService::lookup(
     creator = false;
     hit = true;
     ++stats_.cache_hits;
-    CLOUDCR_OBS_ADD(obs::st::svc_cache_hits, 1);
+    obs::st::svc_cache_hits.add(1);
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->future;
   }
   creator = true;
   hit = false;
   ++stats_.cache_misses;
-  CLOUDCR_OBS_ADD(obs::st::svc_cache_misses, 1);
+  obs::st::svc_cache_misses.add(1);
   ArtifactFuture future = promise.get_future().share();
   lru_.push_front(CacheSlot{key, future});
   index_.emplace(key, lru_.begin());
@@ -353,8 +353,7 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
         {
           const std::lock_guard<std::mutex> lock(mu_);
           ++stats_.snapshot_captures;
-          CLOUDCR_OBS_ADD(obs::st::svc_snapshot_bytes,
-                          parked_bytes_locked());
+          obs::st::svc_snapshot_bytes.add(parked_bytes_locked());
         }
       }
       auto artifact =
@@ -363,7 +362,7 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
       {
         const std::lock_guard<std::mutex> lock(mu_);
         ++stats_.snapshot_resumes;
-        CLOUDCR_OBS_ADD(obs::st::svc_snapshot_resumes, 1);
+        obs::st::svc_snapshot_resumes.add(1);
       }
       promise.set_value(std::move(artifact));
     } catch (...) {

@@ -60,8 +60,7 @@ struct ServiceOptions {
   std::size_t threads = 0;
 };
 
-/// Plain-struct service counters, available in every build (the obs-layer
-/// svc.* stats mirror these in instrumented builds only).
+/// Plain-struct service counters (the obs-layer svc.* stats mirror them).
 struct ServiceStats {
   std::uint64_t cache_hits = 0;     ///< requests answered from the cache
   std::uint64_t cache_misses = 0;   ///< requests that executed a run

@@ -58,6 +58,11 @@ double parse_double(const std::string& label, const std::string& text,
   if (errno == ERANGE && std::isinf(v)) {
     throw field_error(label, line_number, "number out of range", text);
   }
+  // strtod accepts "nan" in every spelling; no field means anything by it,
+  // and a NaN slips past every later range comparison.
+  if (std::isnan(v)) {
+    throw field_error(label, line_number, "not a number", text);
+  }
   return v;
 }
 

@@ -53,8 +53,9 @@ bool is_blank(const std::string& line);
 // omits the line clause — for non-row contexts (mapping/option strings,
 // api::parse_checked_* delegating here).
 
-/// Parses a double, rejecting empty fields, trailing garbage, and values
-/// that overflow to infinity.
+/// Parses a double, rejecting empty fields, trailing garbage, NaN in any
+/// spelling, and values that overflow to infinity (an explicit "inf" token
+/// is accepted).
 double parse_double(const std::string& label, const std::string& text,
                     std::size_t line_number);
 

@@ -5,6 +5,10 @@
 // CI perf baseline) trustworthy: no run can depend on thread schedule,
 // buffer reuse, or which worker happened to replay it.
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +18,7 @@
 #include "api/batch.hpp"
 #include "api/runner.hpp"
 #include "metrics/export.hpp"
+#include "obs/spec.hpp"
 #include "obs/stats.hpp"
 
 namespace cloudcr {
@@ -156,9 +161,40 @@ TEST(ObservabilityDeterminism, MergedRegistryIsThreadCountIndependent) {
 
   const std::string serial = registry_text(1);
   const std::string threaded = registry_text(4);
+  std::map<std::string, std::uint64_t> merged;
+  for (const auto& stat : obs::stats_snapshot()) merged[stat.name] = stat.value;
   obs::reset_stats();
   EXPECT_EQ(serial, threaded)
       << "merged counter registry depends on the worker partition";
+  // The replay's tallies run in every build, so the comparison above is
+  // between real counts, not two all-zero registries.
+  for (const char* name : {"sim.events_popped", "sim.placement_scans",
+                           "sim.ckpt_runs_compressed"}) {
+    EXPECT_GT(merged[name], 0u) << name;
+  }
+}
+
+// A trace request writes a Chrome trace-event file holding the simulated
+// task phases and the host-clock replay phases.
+TEST(ObservabilityTrace, RunScenarioWritesSimAndHostSpans) {
+  api::ScenarioSpec spec = grid(13u).front();
+  spec.obs = obs::parse_obs("trace:" + testing::TempDir() + "/{name}.json");
+  const std::string path = testing::TempDir() + "/" + spec.name + ".json";
+  std::remove(path.c_str());  // a leftover from an earlier run proves nothing
+  (void)api::run_scenario(spec);
+
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good()) << "no trace file for " << spec.name;
+  std::stringstream buffer;
+  buffer << is.rdbuf();
+  const std::string json = buffer.str();
+  for (const std::string event :
+       {R"({"name":"run","cat":"task","ph":"X","pid":2,)",
+        R"({"name":"ckpt","cat":"task","ph":"X","pid":2,)",
+        R"({"name":"admission","cat":"phase","ph":"X","pid":1,)",
+        R"({"name":"drain","cat":"phase","ph":"X","pid":1,)"}) {
+    EXPECT_NE(json.find(event), std::string::npos) << "missing " << event;
+  }
 }
 
 }  // namespace

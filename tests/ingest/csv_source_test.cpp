@@ -133,6 +133,36 @@ TEST(MappedCsv, MalformedRowsAreSkippedWithLineNumbers) {
   EXPECT_EQ(result.trace.job_count(), 2u);
 }
 
+TEST(MappedCsv, NaNFieldsAreSkippedWithLineNumbers) {
+  // strtod reads every NaN spelling; each must be a counted, line-numbered
+  // skip rather than a NaN that slips past the range checks. An explicit
+  // "inf" stays a number (here it fails the memory check on its own terms).
+  const auto path = write_temp(
+      "mapped_nan.csv",
+      "job_id,arrival_s,length_s,memory_mb,priority,failure_dates\n"
+      "1,0.0,100.0,64.0,3,\n"           // line 2: ok
+      "2,nan,100.0,64.0,3,\n"           // line 3: NaN arrival
+      "3,0.0,NaN,64.0,3,\n"             // line 4: NaN length
+      "4,0.0,100.0,-nan,3,\n"           // line 5: NaN memory
+      "5,0.0,100.0,64.0,3,5.0;nan(1)\n"  // line 6: NaN failure date
+      "6,0.0,100.0,-inf,3,\n"           // line 7: negative memory
+      "7,0.0,inf,64.0,3,\n");           // line 8: ok (explicit inf)
+  const IngestResult result = MappedCsvSource(path).load();
+  EXPECT_EQ(result.report.rows_total, 7u);
+  EXPECT_EQ(result.report.rows_used, 2u);
+  EXPECT_EQ(result.report.rows_skipped, 5u);
+  ASSERT_EQ(result.report.skipped.size(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(result.report.skipped[i].line_number, 3u + i);
+    EXPECT_NE(result.report.skipped[i].reason.find("not a number"),
+              std::string::npos)
+        << result.report.skipped[i].reason;
+  }
+  EXPECT_NE(result.report.skipped[4].reason.find("negative memory"),
+            std::string::npos);
+  EXPECT_EQ(result.trace.job_count(), 2u);
+}
+
 TEST(MappedCsv, InfersStructureAndTaskIndices) {
   // No structure or task_index columns: multi-task jobs become BoT and
   // tasks number in row order.

@@ -123,6 +123,21 @@ TEST(GoogleSource, MalformedRowsAreSkippedAndReportedExactly) {
   EXPECT_DOUBLE_EQ(task.failure_dates[0], 40.0);
 }
 
+TEST(GoogleSource, NaNMemoryRequestIsSkipped) {
+  const auto path = write_temp(
+      "google_nan.csv",
+      "100000000,,7,0,m1,0,u,0,2,0.0,0.5,0.0,0\n"   // line 1: ok
+      "100000000,,7,0,m1,1,u,0,2,0.0,nan,0.0,0\n"   // line 2: NaN memory
+      "200000000,,7,0,m1,4,u,0,2,0.0,0.5,0.0,0\n");  // line 3: ok
+  const IngestResult result = GoogleTraceSource(path).load();
+  EXPECT_EQ(result.report.rows_skipped, 1u);
+  ASSERT_EQ(result.report.skipped.size(), 1u);
+  EXPECT_EQ(result.report.skipped[0].line_number, 2u);
+  EXPECT_NE(result.report.skipped[0].reason.find("not a number"),
+            std::string::npos)
+      << result.report.skipped[0].reason;
+}
+
 TEST(GoogleSource, RejectsTrulyOutOfOrderTaskTimestamps) {
   const auto path = write_temp(
       "google_unordered.csv",

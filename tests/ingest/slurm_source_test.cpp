@@ -148,6 +148,29 @@ TEST(SlurmSource, MalformedRowsAreSkippedWithExactReport) {
   EXPECT_EQ(result.trace.job_count(), 2u);
 }
 
+TEST(SlurmSource, NaNFieldsAreSkippedWithLineNumbers) {
+  const auto path = write_temp(
+      "slurm_nan.log",
+      "JOBID SUBMIT DURATION NODES PRIORITY\n"  // line 1
+      "1     0.0    100.0    1     3\n"         // line 2: ok
+      "2     nan    100.0    1     3\n"         // line 3: NaN submit
+      "3     0.0    NAN      1     3\n"         // line 4: NaN duration
+      "4     0.0    -nan     1     3\n"         // line 5: NaN duration
+      "5     0.0    100.0    1     3\n");       // line 6: ok
+  const IngestResult result = SlurmTraceSource(path).load();
+  EXPECT_EQ(result.report.rows_total, 5u);
+  EXPECT_EQ(result.report.rows_used, 2u);
+  EXPECT_EQ(result.report.rows_skipped, 3u);
+  ASSERT_EQ(result.report.skipped.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(result.report.skipped[i].line_number, 3u + i);
+    EXPECT_NE(result.report.skipped[i].reason.find("not a number"),
+              std::string::npos)
+        << result.report.skipped[i].reason;
+  }
+  EXPECT_EQ(result.trace.job_count(), 2u);
+}
+
 TEST(SlurmSource, StructuralProblemsThrow) {
   EXPECT_THROW((void)SlurmTraceSource("/nonexistent/jobs.log").load(),
                std::runtime_error);

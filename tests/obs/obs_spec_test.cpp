@@ -59,6 +59,43 @@ TEST(ObsSpec, RoundTripsInfiniteWindowEnd) {
   EXPECT_TRUE(std::isinf(parsed.trace_window_end_s));
 }
 
+TEST(ObsSpec, RoundTripsExponentBounds) {
+  // max_digits10 text puts small and large bounds in exponent form; neither
+  // the exponent's '-' nor its '+' may split the value.
+  for (const double begin : {1e-05, 1.5e-300, 0.0}) {
+    for (const double end : {2e-05, 1e20, 3.25e300}) {
+      SCOPED_TRACE(std::to_string(begin) + "-" + std::to_string(end));
+      ObsSpec spec;
+      spec.probe_interval_s = end;
+      spec.trace_path = "t.json";
+      spec.trace_window_begin_s = begin;
+      spec.trace_window_end_s = end;
+      EXPECT_EQ(parse_obs(serialize_obs(spec)), spec) << serialize_obs(spec);
+    }
+  }
+  const ObsSpec parsed = parse_obs("window:1e-3-10");
+  EXPECT_DOUBLE_EQ(parsed.trace_window_begin_s, 1e-3);
+  EXPECT_DOUBLE_EQ(parsed.trace_window_end_s, 10.0);
+  const ObsSpec upper = parse_obs("window:2E-3-1E-2");
+  EXPECT_DOUBLE_EQ(upper.trace_window_begin_s, 2e-3);
+  EXPECT_DOUBLE_EQ(upper.trace_window_end_s, 1e-2);
+}
+
+TEST(ObsSpec, RejectsNaNBounds) {
+  for (const std::string text :
+       {"window:nan-10", "window:0-nan", "window:NaN-inf", "window:-nan-5",
+        "probe:nan", "probe:NAN"}) {
+    SCOPED_TRACE(text);
+    try {
+      (void)parse_obs(text);
+      ADD_FAILURE() << "NaN was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("not a number"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ObsSpec, ParsesEachFeatureIndependently) {
   EXPECT_TRUE(parse_obs("stats").stats);
   EXPECT_DOUBLE_EQ(parse_obs("probe:60").probe_interval_s, 60.0);
