@@ -15,7 +15,6 @@
 #include "api/fingerprint.hpp"
 #include "api/registry.hpp"
 #include "api/scenario.hpp"
-#include "api/stream.hpp"
 
 namespace cloudcr::api {
 
@@ -53,17 +52,8 @@ struct SpecReads {
   bool estimate_on_replay = false;  ///< estimation_trace = replay_trace
 };
 
-SpecReads reads_of(const ScenarioSpec& spec, const RunHooks& hooks,
-                   const BatchOptions& options) {
+SpecReads reads_of(const ScenarioSpec& spec, const RunHooks& hooks) {
   SpecReads reads;
-  // Streaming: the run's own stream cursor replaces the whole-trace cache
-  // entry when the source actually streams lazily (otherwise the cache's
-  // memoized parse is the better deal).
-  if (options.stream_traces && hooks.replay_trace == nullptr &&
-      spec_streams_lazily(spec.trace)) {
-    return reads;
-  }
-  if (!options.share_traces) return reads;
   if (hooks.replay_trace == nullptr) {
     reads.replay = TraceRequest{spec.trace, /*replay_view=*/true};
   }
@@ -191,7 +181,7 @@ std::vector<RunArtifact> BatchRunner::run(
     }
   }
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    reads.push_back(reads_of(specs[i], hooks, options_));
+    reads.push_back(reads_of(specs[i], hooks));
     if (reads.back().replay) cache.plan(*reads.back().replay);
     if (reads.back().estimation) cache.plan(*reads.back().estimation);
     size[items.size() + i] = expected_jobs(specs[i].trace);
@@ -238,8 +228,7 @@ std::vector<RunArtifact> BatchRunner::run(
       estimation = cache.get(*r.estimation);
       run_hooks.estimation_trace = estimation.get();
     }
-    artifacts[i] =
-        ScenarioRunner(specs[i]).run(run_hooks, options_.stream_batch_jobs);
+    artifacts[i] = ScenarioRunner(specs[i]).run(run_hooks);
     if (r.replay) cache.release(*r.replay);
     if (r.estimation) cache.release(*r.estimation);
   };

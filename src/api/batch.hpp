@@ -37,20 +37,6 @@ struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::size_t threads = 0;
 
-  /// Memoize generated traces across specs with identical TraceSpecs.
-  bool share_traces = true;
-
-  /// Stream lazily-streaming sources instead of caching whole traces: each
-  /// run drives its own stream cursor (ScenarioRunner::run), so batch
-  /// memory is O(workers x active tasks) instead of O(distinct traces). Results are bit-identical to the cached path (and serial ==
-  /// parallel still holds — cursors are per-run). Sources that cannot
-  /// stream lazily (event logs) keep using the shared trace cache, where
-  /// memoization actually saves repeated parses.
-  bool stream_traces = false;
-
-  /// Arrival-chunk size of every replay (ScenarioRunner::run batch_jobs).
-  std::size_t stream_batch_jobs = 1024;
-
   /// Optional progress callback, invoked once per finished artifact (in
   /// completion order, under an internal mutex — callers need no locking)
   /// with the artifact, the number finished so far, and the batch size.

@@ -1,21 +1,20 @@
 #include "api/runner.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "api/registry.hpp"
 #include "api/stream.hpp"
-#include "ingest/registry.hpp"
 #include "ingest/source.hpp"
+#include "ingest/stream.hpp"
 #include "obs/probe.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace_writer.hpp"
 #include "sched/registry.hpp"
 #include "sim/simulation.hpp"
-#include "trace/generator.hpp"
 
 namespace cloudcr::api {
 
@@ -32,40 +31,35 @@ std::string expand_trace_path(std::string path, const std::string& name) {
   return path;
 }
 
-/// Per-run tracer: owns the TraceWriter when the spec requests tracing,
-/// wires it into the SimConfig, and writes the JSON on finish().
-struct RunTracer {
-  explicit RunTracer(const ScenarioSpec& spec) {
-    if (spec.obs.trace_path.empty()) return;
-    obs::TraceWriterOptions opt;
-    opt.ring_capacity = static_cast<std::size_t>(spec.obs.trace_ring);
-    opt.window_begin_s = spec.obs.trace_window_begin_s;
-    opt.window_end_s = spec.obs.trace_window_end_s;
-    if (!spec.obs.trace_categories.empty()) {
-      opt.categories = obs::parse_trace_categories(spec.obs.trace_categories);
-    }
-    writer_.emplace(opt);
-    out_path_ = expand_trace_path(spec.obs.trace_path, spec.name);
+/// The TraceWriter a spec's obs= asks for; null when it does not trace.
+std::unique_ptr<obs::TraceWriter> make_tracer(const ScenarioSpec& spec) {
+  if (spec.obs.trace_path.empty()) return nullptr;
+  obs::TraceWriterOptions opt;
+  opt.ring_capacity = static_cast<std::size_t>(spec.obs.trace_ring);
+  opt.window_begin_s = spec.obs.trace_window_begin_s;
+  opt.window_end_s = spec.obs.trace_window_end_s;
+  if (!spec.obs.trace_categories.empty()) {
+    opt.categories = obs::parse_trace_categories(spec.obs.trace_categories);
   }
+  return std::make_unique<obs::TraceWriter>(opt);
+}
 
-  [[nodiscard]] obs::TraceWriter* get() noexcept {
-    return writer_ ? &*writer_ : nullptr;
+/// Recoverable row skips stay visible — results were computed on a partial
+/// workload. One stderr line keeps stdout (bench tables, determinism
+/// diffs) untouched.
+void warn_skipped_rows(const ingest::IngestReport& report) {
+  if (report.rows_skipped > 0) {
+    std::cerr << "warning: ingest skipped rows: " << report.summary() << "\n";
   }
+}
 
-  void host_span(const char* name,
-                 std::chrono::steady_clock::time_point t0,
-                 std::chrono::steady_clock::time_point t1) {
-    if (obs::TraceWriter* w = get()) w->host_span(name, t0, t1);
-  }
-
-  void finish() {
-    if (writer_) writer_->write_json_file(out_path_);
-  }
-
- private:
-  std::optional<obs::TraceWriter> writer_;
-  std::string out_path_;
-};
+/// Materializes one view of `spec` by draining its post-processed stream.
+trace::Trace drain_view(const TraceSpec& spec, bool replay_view) {
+  const ingest::StreamPtr stream = open_trace_stream(spec, replay_view);
+  ingest::IngestResult result = ingest::drain(*stream);
+  warn_skipped_rows(result.report);
+  return std::move(result.trace);
+}
 
 /// Flushes the api-layer phase timers into the counter registry when the
 /// spec collects stats.
@@ -80,57 +74,55 @@ void flush_api_timers(const ScenarioSpec& spec, double estimation_s,
 }  // namespace
 
 trace::Trace make_trace(const TraceSpec& spec) {
-  // The generator path stays direct (it applies the sample-job filter and
-  // job cap during generation); external sources ingest the raw log first
-  // and get the same post-processing applied on top, so a TraceSpec means
-  // the same thing whatever its workload origin.
-  if (spec.source == "synthetic") {
-    return trace::TraceGenerator(to_generator_config(spec)).generate();
-  }
-  ingest::SourceEnv env;
-  env.generator = to_generator_config(spec);
-  auto source = with_key_context("trace.source", spec.source, [&] {
-    return ingest::TraceSourceRegistry::instance().make(spec.source, env);
-  });
-  ingest::IngestResult result = source->load();
-  // Recoverable row skips must stay visible on this path too — results
-  // were computed on a partial workload. One stderr line keeps stdout
-  // (bench tables, determinism diffs) untouched.
-  if (result.report.rows_skipped > 0) {
-    std::cerr << "warning: ingest skipped rows: " << result.report.summary()
-              << "\n";
-  }
-  trace::Trace trace = std::move(result.trace);
-  if (spec.sample_job_filter) ingest::apply_sample_job_filter(trace);
-  ingest::cap_jobs(trace, spec.max_jobs);
-  return trace;
+  return drain_view(spec, /*replay_view=*/false);
 }
 
 trace::Trace make_replay_trace(const TraceSpec& spec) {
-  auto full = make_trace(spec);
-  if (std::isinf(spec.replay_max_task_length_s)) return full;
-  return trace::restrict_length(full, spec.replay_max_task_length_s);
+  return drain_view(spec, /*replay_view=*/true);
 }
 
-ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {}
+PreparedRun::PreparedRun(ScenarioSpec spec, RunHooks hooks)
+    : spec_(std::move(spec)),
+      hooks_(std::move(hooks)),
+      tracer_(make_tracer(spec_)) {}
 
-RunArtifact ScenarioRunner::run(const RunHooks& hooks,
-                                std::size_t batch_jobs) const {
-  // Without a caller-materialized replay trace, one cursor serves
-  // estimation and replay: a single-pass source is parsed once and shared
-  // by both phases; a lazy source opens one bounded-memory pass per phase
-  // that touches it. Every predictor — builtin or registered — estimates
-  // through the PredictorBuilder observation contract, so nothing on this
-  // path materializes O(trace) memory for a lazy source.
-  const trace::Trace* replay = hooks.replay_trace;
-  std::optional<SharedTraceCursor> cursor;
-  if (replay == nullptr) cursor.emplace(spec_.trace);
-  std::size_t side_reads = 0;  ///< estimation passes outside `cursor`
-  std::size_t side_rows = 0;
+PreparedRun::~PreparedRun() = default;
 
-  RunTracer tracer(spec_);
-  sim::StatsPredictor predictor = hooks.predictor_override;
-  double estimation_wall_s = 0.0;
+RunArtifact PreparedRun::run(std::size_t batch_jobs) {
+  return execute(/*first=*/true,
+                 [batch_jobs](sim::Simulation& sim, sim::JobSource& source) {
+                   return sim.run(source, batch_jobs);
+                 });
+}
+
+RunArtifact PreparedRun::run_snapshot(double fork_at,
+                                      sim::SimSnapshot& snapshot) {
+  return execute(/*first=*/true, [&](sim::Simulation& sim,
+                                     sim::JobSource& source) {
+    return sim.run_snapshot(source, fork_at, snapshot);
+  });
+}
+
+RunArtifact PreparedRun::resume(const sim::SimSnapshot& snapshot,
+                                const std::string& policy,
+                                std::optional<double> detection_delay_s) {
+  core::PolicyPtr override_policy;
+  sim::ResumeOverrides overrides;
+  if (!policy.empty()) {
+    override_policy = with_key_context("policy", policy, [&] {
+      return PolicyRegistry::instance().make(policy);
+    });
+    overrides.policy = override_policy.get();
+  }
+  overrides.detection_delay_s = detection_delay_s;
+  return execute(/*first=*/false,
+                 [&](sim::Simulation& sim, sim::JobSource& source) {
+                   return sim.resume(snapshot, source, overrides);
+                 });
+}
+
+void PreparedRun::prepare(SharedTraceCursor* cursor, RunArtifact& artifact) {
+  sim::StatsPredictor predictor = hooks_.predictor_override;
   if (!predictor) {
     const auto est_start = std::chrono::steady_clock::now();
     PredictorBuilderPtr builder =
@@ -146,18 +138,18 @@ RunArtifact ScenarioRunner::run(const RunHooks& hooks,
       const auto observe_pass = [&](const TraceSpec& spec, bool replay_view) {
         SharedTraceCursor pass(spec);
         pass.feed_estimation(replay_view, observe);
-        side_reads += pass.reads();
-        side_rows += pass.rows_read();
+        artifact.trace_reads += pass.reads();
+        artifact.rows_read += pass.rows_read();
       };
-      if (hooks.estimation_trace != nullptr) {
-        observe_trace(*builder, *hooks.estimation_trace);
+      if (hooks_.estimation_trace != nullptr) {
+        observe_trace(*builder, *hooks_.estimation_trace);
       } else if (spec_.estimation == EstimationSource::kHistory) {
         observe_pass(spec_.history, /*replay_view=*/true);
-      } else if (cursor) {
+      } else if (cursor != nullptr) {
         cursor->feed_estimation(
             spec_.estimation == EstimationSource::kReplay, observe);
       } else if (spec_.estimation == EstimationSource::kReplay) {
-        observe_trace(*builder, *replay);
+        observe_trace(*builder, *hooks_.replay_trace);
       } else {
         observe_pass(spec_.trace, /*replay_view=*/false);
       }
@@ -165,53 +157,67 @@ RunArtifact ScenarioRunner::run(const RunHooks& hooks,
     predictor = with_key_context("predictor", spec_.predictor,
                                  [&] { return builder->finalize(); });
     const auto est_end = std::chrono::steady_clock::now();
-    estimation_wall_s =
+    artifact.estimation_wall_s =
         std::chrono::duration<double>(est_end - est_start).count();
-    tracer.host_span("estimation", est_start, est_end);
+    if (tracer_) tracer_->host_span("estimation", est_start, est_end);
   }
-
-  // The policy and scheduler must outlive the Simulation (held by
-  // reference/pointer); they live on this frame for the whole replay.
-  const core::PolicyPtr policy = with_key_context(
-      "policy", spec_.policy,
-      [&] { return PolicyRegistry::instance().make(spec_.policy); });
-  const sched::SchedulerPtr scheduler = with_key_context(
-      "sched", spec_.sched,
-      [&] { return sched::SchedulerRegistry::instance().make(spec_.sched); });
+  policy_ = with_key_context("policy", spec_.policy, [&] {
+    return PolicyRegistry::instance().make(spec_.policy);
+  });
+  scheduler_ = with_key_context("sched", spec_.sched, [&] {
+    return sched::SchedulerRegistry::instance().make(spec_.sched);
+  });
   sim::SimConfig config = to_sim_config(spec_);
-  config.length_predictor = hooks.length_predictor;
-  config.scheduler = scheduler.get();
-  config.tracer = tracer.get();
+  config.length_predictor = hooks_.length_predictor;
+  config.scheduler = scheduler_.get();
+  config.tracer = tracer_.get();
+  simulation_.emplace(std::move(config), *policy_, std::move(predictor),
+                      hooks_.workspace);
+}
 
+RunArtifact PreparedRun::execute(bool first, const Replay& replay) {
+  if (first == simulation_.has_value()) {
+    throw std::logic_error(first ? "PreparedRun: already ran"
+                                 : "PreparedRun: resume before run_snapshot");
+  }
+  // Without a caller-materialized replay trace, one cursor serves
+  // estimation and replay: a single-pass source is parsed once and shared
+  // by both phases; a lazy source opens one bounded-memory pass per phase
+  // that touches it. Every predictor — builtin or registered — estimates
+  // through the PredictorBuilder observation contract, so nothing on this
+  // path materializes O(trace) memory for a lazy source.
+  const trace::Trace* materialized = hooks_.replay_trace;
+  std::optional<SharedTraceCursor> cursor;
+  if (materialized == nullptr) cursor.emplace(spec_.trace);
   RunArtifact artifact;
   artifact.spec = spec_;
-  artifact.estimation_wall_s = estimation_wall_s;
+
+  if (first) prepare(cursor ? &*cursor : nullptr, artifact);
 
   ingest::StreamPtr stream;
   std::optional<StreamJobSource> streamed;
   std::optional<sim::TraceJobSource> borrowed;
   sim::JobSource* source = nullptr;
-  if (replay != nullptr) {
-    source = &borrowed.emplace(*replay);
+  if (materialized != nullptr) {
+    source = &borrowed.emplace(*materialized);
   } else {
     stream = cursor->open_replay_stream();
     source = &streamed.emplace(*stream);
   }
   const auto start = std::chrono::steady_clock::now();
-  sim::Simulation simulation(std::move(config), *policy, std::move(predictor),
-                             hooks.workspace);
-  artifact.result = simulation.run(*source, batch_jobs);
+  artifact.result = replay(*simulation_, *source);
   artifact.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   artifact.peak_rss_mb = obs::peak_rss_mb();
   flush_api_timers(spec_, artifact.estimation_wall_s, artifact.wall_time_s);
-  tracer.finish();
-  artifact.trace_reads = side_reads;
-  artifact.rows_read = side_rows;
-  if (replay != nullptr) {
-    artifact.trace_jobs = replay->job_count();
-    artifact.trace_tasks = replay->task_count();
+  if (first && tracer_) {
+    tracer_->write_json_file(
+        expand_trace_path(spec_.obs.trace_path, spec_.name));
+  }
+  if (materialized != nullptr) {
+    artifact.trace_jobs = materialized->job_count();
+    artifact.trace_tasks = materialized->task_count();
     return artifact;
   }
   artifact.trace_jobs = streamed->jobs();
@@ -221,13 +227,15 @@ RunArtifact ScenarioRunner::run(const RunHooks& hooks,
   // a single-pass cursor already counted the parse.
   artifact.rows_read += cursor->rows_read() +
                         (cursor->streams_lazily() ? streamed->tasks() : 0);
-  // Recoverable row skips stay visible (the report is complete once the
-  // stream is drained).
-  if (stream->report().rows_skipped > 0) {
-    std::cerr << "warning: ingest skipped rows: "
-              << stream->report().summary() << "\n";
-  }
+  warn_skipped_rows(stream->report());
   return artifact;
+}
+
+ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {}
+
+RunArtifact ScenarioRunner::run(const RunHooks& hooks,
+                                std::size_t batch_jobs) const {
+  return PreparedRun(spec_, hooks).run(batch_jobs);
 }
 
 RunArtifact run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {

@@ -16,11 +16,24 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <string>
 
 #include "api/scenario.hpp"
+#include "core/policy.hpp"
+#include "sched/policy.hpp"
 #include "sim/result.hpp"
 #include "sim/simulation.hpp"
 #include "trace/records.hpp"
+
+namespace cloudcr::obs {
+class TraceWriter;
+}  // namespace cloudcr::obs
+
+namespace cloudcr::api {
+class SharedTraceCursor;
+}  // namespace cloudcr::api
 
 namespace cloudcr::api {
 
@@ -80,15 +93,81 @@ struct RunHooks {
   sim::ReplayWorkspace* workspace = nullptr;
 };
 
-/// Materializes the unrestricted trace of `spec` (estimation view): the
-/// synthetic generator for source "synthetic", otherwise ingestion through
-/// ingest::TraceSourceRegistry (with the spec's sample-job filter and job
-/// cap applied on top).
+/// Materializes the unrestricted trace of `spec` (estimation view): a
+/// drain of open_trace_stream(spec, false), so it holds exactly the jobs a
+/// streamed run sees. Recoverable ingest row skips print one stderr
+/// warning.
 trace::Trace make_trace(const TraceSpec& spec);
 
-/// The replay set of `spec`: the unrestricted trace filtered to jobs within
-/// replay_max_task_length_s.
+/// The replay set of `spec`: a drain of open_trace_stream(spec, true), i.e.
+/// make_trace's jobs restricted to replay_max_task_length_s.
 trace::Trace make_replay_trace(const TraceSpec& spec);
+
+/// One scenario prepared for replay: the only code that turns a spec into
+/// a RunArtifact. It owns every lifetime the Simulation borrows — policy,
+/// scheduler, tracer, and the Simulation itself (with its workspace unless
+/// hooks.workspace lends one) — so the engine can stay parked after a
+/// snapshot run and serve resumes. ScenarioRunner::run is its plain case;
+/// svc::SimService parks one per what-if fork. run() and run_snapshot()
+/// share one estimation block, and all three entry points share one
+/// replay-and-accounting block.
+///
+/// Observability: a spec's obs= applies to the run()/run_snapshot() pass
+/// (stats flush, trace file written when it ends). A resume flushes stats
+/// too but never traces — the per-task span state is not part of a
+/// snapshot (sim::Simulation::resume drops the tracer), so a resume writes
+/// no file and adds nothing to the base run's writer.
+///
+/// Not copyable or movable: the Simulation holds its members by address.
+class PreparedRun {
+ public:
+  /// Copies `hooks`; the pointers it carries are borrowed and must outlive
+  /// this object. Throws on a malformed obs trace category list.
+  explicit PreparedRun(ScenarioSpec spec, RunHooks hooks = {});
+  ~PreparedRun();
+
+  PreparedRun(const PreparedRun&) = delete;
+  PreparedRun& operator=(const PreparedRun&) = delete;
+
+  /// The replay ScenarioRunner::run documents. Either this or
+  /// run_snapshot() runs once per object.
+  RunArtifact run(std::size_t batch_jobs = sim::Simulation::kDefaultBatchJobs);
+
+  /// run() that also captures `snapshot` just before the first arrival at
+  /// or beyond `fork_at`; the artifact is bit-identical to run()'s.
+  RunArtifact run_snapshot(double fork_at, sim::SimSnapshot& snapshot);
+
+  /// Replays the post-fork suffix of `snapshot` (taken by this object's
+  /// run_snapshot) against a fresh pass over the trace, switching to
+  /// `policy` (PolicyRegistry key; empty keeps the base policy) for tasks
+  /// dispatched after the fork and to `detection_delay_s` when given. No
+  /// estimation pass: the parked Simulation owns its predictor. With no
+  /// overrides the artifact equals the base run's. Sequential resumes of
+  /// one snapshot are fine.
+  RunArtifact resume(const sim::SimSnapshot& snapshot,
+                     const std::string& policy,
+                     std::optional<double> detection_delay_s);
+
+ private:
+  using Replay =
+      std::function<sim::SimResult(sim::Simulation&, sim::JobSource&)>;
+
+  /// The first run's setup: the estimation pass (through `cursor` when
+  /// the replay streams, counting side passes into `artifact`), then the
+  /// policy, scheduler, and Simulation.
+  void prepare(SharedTraceCursor* cursor, RunArtifact& artifact);
+
+  /// The shared block: prepare() when `first`, then opens the replay
+  /// source, times `replay`, and fills the artifact's accounting.
+  RunArtifact execute(bool first, const Replay& replay);
+
+  ScenarioSpec spec_;
+  RunHooks hooks_;
+  std::unique_ptr<obs::TraceWriter> tracer_;  ///< null unless obs= traces
+  core::PolicyPtr policy_;
+  sched::SchedulerPtr scheduler_;
+  std::optional<sim::Simulation> simulation_;  ///< built by the first run
+};
 
 /// Runs one scenario. Deterministic: the artifact depends only on the spec
 /// (and hooks), never on thread schedule or host state.
@@ -98,17 +177,18 @@ class ScenarioRunner {
 
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
 
-  /// Runs the scenario: one estimation pass, then one replay from a
-  /// sim::JobSource admitted in chunks of `batch_jobs`. The source borrows
-  /// hooks.replay_trace in place when the caller handed one in; otherwise
-  /// the replay set streams from a SharedTraceCursor over spec.trace and is
-  /// never materialized. *Every* predictor — builtin or registered —
-  /// estimates through the PredictorBuilder observation contract (oracle
-  /// skips the estimation pass entirely; single-pass sources serve
-  /// estimation and replay from one parse), so with a lazily-streaming
-  /// source memory is bounded by the active task set for any predictor,
-  /// which is what lets a month-scale trace replay in a fixed footprint.
-  /// Both sources give bit-identical results (pinned by
+  /// Runs the scenario (PreparedRun(spec, hooks).run(batch_jobs)): one
+  /// estimation pass, then one replay from a sim::JobSource admitted in
+  /// chunks of `batch_jobs`. The source borrows hooks.replay_trace in
+  /// place when the caller handed one in; otherwise the replay set streams
+  /// from a SharedTraceCursor over spec.trace and is never materialized.
+  /// *Every* predictor — builtin or registered — estimates through the
+  /// PredictorBuilder observation contract (oracle skips the estimation
+  /// pass entirely; single-pass sources serve estimation and replay from
+  /// one parse), so with a lazily-streaming source memory is bounded by
+  /// the active task set for any predictor, which is what lets a
+  /// month-scale trace replay in a fixed footprint. Both sources give
+  /// bit-identical results (pinned by
   /// tests/api/stream_determinism_test.cpp). Reusable and const: each call
   /// builds a fresh Simulation.
   [[nodiscard]] RunArtifact run(

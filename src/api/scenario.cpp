@@ -21,8 +21,16 @@ std::string format_double(double v) {
   return os.str();
 }
 
-double parse_double(const std::string& key, const std::string& value) {
-  return parse_checked_double("scenario key '" + key + "'", value);
+/// Finite numeric key; only the replay length limit, whose default is
+/// +inf ("no limit"), may pass `allow_inf`.
+double parse_double(const std::string& key, const std::string& value,
+                    bool allow_inf = false) {
+  const std::string label = "scenario key '" + key + "'";
+  const double v = parse_checked_double(label, value);
+  if (!allow_inf && std::isinf(v)) {
+    throw std::invalid_argument(label + " = '" + value + "': not finite");
+  }
+  return v;
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
@@ -89,28 +97,28 @@ void serialize_trace(std::ostream& os, const std::string& prefix,
      << format_double(t.replay_max_task_length_s) << '\n';
 }
 
-/// Applies one `key=value` pair to a TraceSpec; returns false if the key is
-/// not a TraceSpec field.
+/// Applies one `<prefix>.<field>=value` pair to a TraceSpec; returns false
+/// if `field` is not a TraceSpec field. Errors name the full `key`.
 bool apply_trace_key(TraceSpec& t, const std::string& key,
-                     const std::string& value) {
-  if (key == "source") {
+                     const std::string& field, const std::string& value) {
+  if (field == "source") {
     t.source = unescape_string(key, value);
-  } else if (key == "seed") {
+  } else if (field == "seed") {
     t.seed = parse_u64(key, value);
-  } else if (key == "horizon_s") {
+  } else if (field == "horizon_s") {
     t.horizon_s = parse_double(key, value);
-  } else if (key == "arrival_rate") {
+  } else if (field == "arrival_rate") {
     t.arrival_rate = parse_double(key, value);
-  } else if (key == "max_jobs") {
+  } else if (field == "max_jobs") {
     t.max_jobs = static_cast<std::size_t>(parse_u64(key, value));
-  } else if (key == "sample_job_filter") {
+  } else if (field == "sample_job_filter") {
     t.sample_job_filter = parse_bool(key, value);
-  } else if (key == "priority_change_midway") {
+  } else if (field == "priority_change_midway") {
     t.priority_change_midway = parse_bool(key, value);
-  } else if (key == "long_service_fraction") {
+  } else if (field == "long_service_fraction") {
     t.long_service_fraction = parse_double(key, value);
-  } else if (key == "replay_max_task_length_s") {
-    t.replay_max_task_length_s = parse_double(key, value);
+  } else if (field == "replay_max_task_length_s") {
+    t.replay_max_task_length_s = parse_double(key, value, /*allow_inf=*/true);
   } else {
     return false;
   }
@@ -256,11 +264,11 @@ ScenarioSpec parse_scenario(const std::string& text) {
     const std::string value = line.substr(eq + 1);
 
     if (key.rfind("trace.", 0) == 0) {
-      if (!apply_trace_key(spec.trace, key.substr(6), value)) {
+      if (!apply_trace_key(spec.trace, key, key.substr(6), value)) {
         throw std::invalid_argument("unknown scenario key '" + key + "'");
       }
     } else if (key.rfind("history.", 0) == 0) {
-      if (!apply_trace_key(spec.history, key.substr(8), value)) {
+      if (!apply_trace_key(spec.history, key, key.substr(8), value)) {
         throw std::invalid_argument("unknown scenario key '" + key + "'");
       }
     } else if (key == "name") {

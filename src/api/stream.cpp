@@ -1,6 +1,5 @@
 #include "api/stream.hpp"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -11,16 +10,16 @@ namespace cloudcr::api {
 
 namespace {
 
-/// A TraceSpec's per-job post-processing verdict, preserving the
-/// materialized pipeline's order and semantics exactly:
-///   1. sample-job filter (ingest::apply_sample_job_filter's predicate);
-///   2. max_jobs cap — counts jobs that *survive the filter*, like
-///      cap_jobs on the filtered trace, and ends the sequence once reached;
-///   3. replay length restriction (trace::restrict_length's predicate) —
-///      restricted-away jobs still count toward the cap, as they do when
-///      restrict_length runs after cap_jobs.
-/// One gate instance serves one pass; both PostProcessStream and
-/// SharedTraceCursor::feed_estimation route through it, so the streamed
+/// A TraceSpec's per-job post-processing verdict, in this order:
+///   1. sample-job filter (JobRecord::is_sample_job);
+///   2. max_jobs cap — counts jobs that *survive the filter* and ends the
+///      sequence once reached;
+///   3. replay length restriction (JobRecord::within_length, the predicate
+///      trace::restrict_length applies) — restricted-away jobs still count
+///      toward the cap.
+/// One gate instance serves one pass; PostProcessStream (behind
+/// open_trace_stream, and so behind make_trace/make_replay_trace) and
+/// SharedTraceCursor::feed_estimation both route through it, so the
 /// replay set and the estimation view can never drift apart.
 class SpecJobGate {
  public:
@@ -33,24 +32,14 @@ class SpecJobGate {
         max_task_length_s_(max_task_length_s) {}
 
   [[nodiscard]] Verdict admit(const trace::JobRecord& job) {
-    if (sample_filter_ && 2 * job.failed_task_count() < job.tasks.size()) {
-      return Verdict::kDrop;
-    }
+    if (sample_filter_ && !job.is_sample_job()) return Verdict::kDrop;
     if (max_jobs_ != 0 && accepted_ >= max_jobs_) return Verdict::kEnd;
     ++accepted_;
-    if (!within_length_limit(job)) return Verdict::kDrop;
+    if (!job.within_length(max_task_length_s_)) return Verdict::kDrop;
     return Verdict::kAccept;
   }
 
  private:
-  [[nodiscard]] bool within_length_limit(const trace::JobRecord& job) const {
-    if (std::isinf(max_task_length_s_)) return true;
-    for (const auto& task : job.tasks) {
-      if (task.length_s > max_task_length_s_) return false;
-    }
-    return true;
-  }
-
   const bool sample_filter_;
   const std::size_t max_jobs_;
   const double max_task_length_s_;
@@ -107,7 +96,7 @@ class PostProcessStream final : public ingest::TaskStream {
 };
 
 /// Resolves a non-synthetic spec source through the ingest registry,
-/// reporting failures with the scenario-key context make_trace uses.
+/// reporting failures with the "scenario key 'trace.source'" context.
 ingest::SourcePtr make_spec_source(const TraceSpec& spec) {
   ingest::SourceEnv env;
   env.generator = to_generator_config(spec);
@@ -123,8 +112,7 @@ ingest::StreamPtr open_trace_stream(const TraceSpec& spec, bool replay_view) {
       replay_view ? spec.replay_max_task_length_s : trace::kNoLengthLimit;
   if (spec.source == "synthetic") {
     // The generator applies the sample-job filter and job cap itself
-    // (to_generator_config carries them), exactly as make_trace's direct
-    // generator path does.
+    // (to_generator_config carries them).
     ingest::SyntheticSource source(to_generator_config(spec));
     return std::make_unique<PostProcessStream>(source.open_stream(), false,
                                                0, limit);
@@ -132,11 +120,6 @@ ingest::StreamPtr open_trace_stream(const TraceSpec& spec, bool replay_view) {
   auto source = make_spec_source(spec);
   return std::make_unique<PostProcessStream>(
       source->open_stream(), spec.sample_job_filter, spec.max_jobs, limit);
-}
-
-bool spec_streams_lazily(const TraceSpec& spec) {
-  if (spec.source == "synthetic") return true;
-  return make_spec_source(spec)->streams_lazily();
 }
 
 // -- SharedTraceCursor -------------------------------------------------------
@@ -176,8 +159,8 @@ void SharedTraceCursor::feed_estimation(
     return;
   }
   // Single-pass source: iterate the one parse in place, through the same
-  // gate the replay stream will use, so the estimation view equals the
-  // materialized make_trace/make_replay_trace jobs exactly.
+  // gate the replay stream uses, so the estimation view equals the
+  // open_trace_stream view exactly.
   ensure_loaded();
   SpecJobGate gate(spec_.sample_job_filter, spec_.max_jobs,
                    replay_view ? spec_.replay_max_task_length_s

@@ -1,17 +1,17 @@
 #pragma once
 
 /// \file stream.hpp
-/// \brief Streaming view of a TraceSpec: the pull-based counterpart of
-/// api::make_trace / api::make_replay_trace, plus the shared estimation+
-/// replay cursor ScenarioRunner feeds predictors from.
+/// \brief Streaming view of a TraceSpec — the one place a spec's
+/// post-processing is applied — plus the shared estimation+replay cursor
+/// ScenarioRunner feeds predictors from.
 ///
 /// open_trace_stream() resolves the spec's source (the synthetic generator
 /// or the ingest registry) to an ingest::TaskStream and applies the spec's
-/// post-processing per job, in the exact order the materialized path
-/// applies it to the whole trace: the paper's sample-job filter, then the
+/// post-processing per job: the paper's sample-job filter, then the
 /// max_jobs cap, then (for the replay view) the replay length restriction.
-/// Draining the stream therefore reproduces make_trace()/make_replay_trace()
-/// bit-for-bit — pinned by tests/api/stream_determinism_test.cpp.
+/// api::make_trace / api::make_replay_trace are drains of this stream, so
+/// streamed == materialized holds by construction (and is still pinned
+/// end to end by tests/api/stream_determinism_test.cpp).
 ///
 /// SharedTraceCursor is how ScenarioRunner serves estimation *and* replay
 /// from the fewest possible passes over the source:
@@ -33,9 +33,8 @@
 /// the counts per source kind.
 ///
 /// Whether the replay stream is also memory-bounded depends on the source
-/// (surfaced here as spec_streams_lazily): synthetic workloads generate on
-/// demand; event logs chunk the materialized parse, releasing each consumed
-/// job. StreamJobSource bridges the stream onto the simulator's
+/// (TraceSource::streams_lazily): synthetic workloads generate on demand;
+/// event logs chunk the materialized parse, releasing each consumed job. StreamJobSource bridges the stream onto the simulator's
 /// sim::JobSource seam and counts what passed through, which is how the
 /// streaming runner fills the artifact's replay-set shape.
 
@@ -53,16 +52,10 @@ namespace cloudcr::api {
 
 /// Opens the post-processed pull view of `spec`: sample-job filter and job
 /// cap applied per job; `replay_view` additionally drops jobs whose
-/// longest task exceeds spec.replay_max_task_length_s. Throws like
-/// make_trace on structural failure (unknown sources report the
+/// longest task exceeds spec.replay_max_task_length_s. Throws on
+/// structural failure (unknown sources report the
 /// "scenario key 'trace.source'" context).
 ingest::StreamPtr open_trace_stream(const TraceSpec& spec, bool replay_view);
-
-/// True when the spec's source yields jobs without materializing the whole
-/// workload (streaming replay then bounds memory by the active set).
-/// BatchRunner (stream_traces) uses this to stream a run instead of caching
-/// its trace.
-bool spec_streams_lazily(const TraceSpec& spec);
 
 /// One estimation-then-replay pass over a TraceSpec's source, counting how
 /// many source passes ("reads") and task rows that took (contract above).
@@ -72,7 +65,7 @@ bool spec_streams_lazily(const TraceSpec& spec);
 ///   rows_read() + (streams_lazily() ? <rows drained from the stream> : 0).
 class SharedTraceCursor {
  public:
-  /// Resolves the spec's source (throws like make_trace, with the
+  /// Resolves the spec's source (throws like open_trace_stream, with the
   /// "scenario key 'trace.source'" context, on unknown/misconfigured
   /// sources). No trace data is read yet.
   explicit SharedTraceCursor(const TraceSpec& spec);
@@ -84,9 +77,9 @@ class SharedTraceCursor {
 
   /// Calls `observe` once per job of the spec's post-processed view
   /// (`replay_view` as in open_trace_stream), in arrival order — exactly
-  /// the jobs and order a materialized make_trace/make_replay_trace would
-  /// hold. Lazy sources walk a fresh bounded-memory pass (+1 read);
-  /// single-pass sources iterate the one parse in place.
+  /// the jobs and order make_trace/make_replay_trace hold. Lazy sources
+  /// walk a fresh bounded-memory pass (+1 read); single-pass sources
+  /// iterate the one parse in place.
   void feed_estimation(
       bool replay_view,
       const std::function<void(const trace::JobRecord&)>& observe);

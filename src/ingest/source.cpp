@@ -1,6 +1,5 @@
 #include "ingest/source.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -10,41 +9,10 @@
 
 namespace cloudcr::ingest {
 
-namespace {
-
-/// Flags re-entry into the mutual TraceSource defaults (see
-/// TraceSource::in_default_entry_).
-class DefaultEntryGuard {
- public:
-  explicit DefaultEntryGuard(bool& flag, const char* what) : flag_(flag) {
-    if (flag_) {
-      throw std::logic_error(std::string(what) +
-                             ": subclass must override load() or "
-                             "open_stream() (the defaults call each other)");
-    }
-    flag_ = true;
-  }
-  ~DefaultEntryGuard() { flag_ = false; }
-
- private:
-  bool& flag_;
-};
-
-}  // namespace
-
 StreamPtr TraceSource::open_stream() const {
   // Default for formats that must aggregate the whole input first: chunk
-  // the materialized result (subclasses with a genuinely incremental
-  // producer override this instead and inherit load() as a drain).
-  const DefaultEntryGuard guard(in_default_entry_,
-                                "TraceSource::open_stream");
+  // the materialized result (incremental producers override this).
   return std::make_unique<ChunkedTraceStream>(load());
-}
-
-IngestResult TraceSource::load() const {
-  const DefaultEntryGuard guard(in_default_entry_, "TraceSource::load");
-  auto stream = open_stream();
-  return drain(*stream);
 }
 
 void IngestReport::skip(std::size_t line_number, std::string reason) {
@@ -67,18 +35,6 @@ std::string IngestReport::summary() const {
     os << " (first: " << skipped.front().reason << ")";
   }
   return os.str();
-}
-
-void apply_sample_job_filter(trace::Trace& trace) {
-  std::erase_if(trace.jobs, [](const trace::JobRecord& job) {
-    return 2 * job.failed_task_count() < job.tasks.size();
-  });
-}
-
-void cap_jobs(trace::Trace& trace, std::size_t max_jobs) {
-  if (max_jobs != 0 && trace.jobs.size() > max_jobs) {
-    trace.jobs.resize(max_jobs);
-  }
 }
 
 std::ifstream open_trace_file(const std::string& label,

@@ -108,15 +108,13 @@ using StreamPtr = std::unique_ptr<TaskStream>;
 /// ones.
 ///
 /// Every source is also *streamable* (stream.hpp): open_stream() returns a
-/// pull cursor yielding arrival-ordered job chunks, and load() is a thin
-/// drain of that stream. The two defaults below are mutually implemented —
-/// a subclass must override at least one:
-///   - override open_stream() when the workload can be produced
-///     incrementally (the synthetic generator); load() then drains it;
-///   - override load() when the format needs whole-input aggregation before
-///     any job is complete (event logs: a task's length is unknown until
-///     its last event); open_stream() then chunks the materialized result,
-///     releasing each consumed job's storage.
+/// pull cursor yielding arrival-ordered job chunks whose drain equals
+/// load(). load() is the one required override; open_stream() defaults to
+/// chunking the materialized result (releasing each consumed job's
+/// storage), which is what formats needing whole-input aggregation want
+/// (event logs: a task's length is unknown until its last event). A source
+/// that can produce the workload incrementally (the synthetic generator)
+/// overrides open_stream() too and implements load() as its drain.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
@@ -138,38 +136,19 @@ class TraceSource {
   /// actually buys bounded memory.
   [[nodiscard]] virtual bool streams_lazily() const { return false; }
 
-  /// Reads/generates the full trace (a drain of open_stream()). Throws
-  /// std::runtime_error on structural failure (missing file, missing
-  /// header/column); row-level problems are reported, not thrown.
-  [[nodiscard]] virtual IngestResult load() const;
+  /// Reads/generates the full trace. Throws std::runtime_error on
+  /// structural failure (missing file, missing header/column); row-level
+  /// problems are reported, not thrown.
+  [[nodiscard]] virtual IngestResult load() const = 0;
 
   /// Cheap readiness check without ingesting anything: file-backed sources
   /// verify their input opens (throwing the same std::runtime_error load()
   /// would). CLI frontends call this so a typo'd path fails fast with a
   /// diagnostic instead of mid-run.
   virtual void probe() const {}
-
- private:
-  /// Guards the mutual defaults: a subclass overriding neither load() nor
-  /// open_stream() would recurse forever — the flag turns that into a
-  /// std::logic_error naming the missing override instead of a stack
-  /// overflow.
-  mutable bool in_default_entry_ = false;
 };
 
 using SourcePtr = std::unique_ptr<TraceSource>;
-
-// -- shared post-processing --------------------------------------------------
-
-/// The paper's sample-job filter (Section 5.1): keeps only jobs where at
-/// least half the tasks suffer a failure within their own productive length.
-/// Applied by api::make_trace to ingested traces when the owning TraceSpec
-/// requests it (the synthetic generator applies it internally).
-void apply_sample_job_filter(trace::Trace& trace);
-
-/// Truncates the trace to its first `max_jobs` jobs (0 = unlimited),
-/// mirroring GeneratorConfig::max_jobs for ingested workloads.
-void cap_jobs(trace::Trace& trace, std::size_t max_jobs);
 
 /// Opens an input file for a reader, throwing std::runtime_error
 /// ("<label>: cannot open <path>") when it is missing/unreadable — the one

@@ -68,4 +68,6 @@ StreamPtr SyntheticSource::open_stream() const {
   return std::make_unique<SyntheticStream>(config_, describe());
 }
 
+IngestResult SyntheticSource::load() const { return drain(*open_stream()); }
+
 }  // namespace cloudcr::ingest

@@ -28,10 +28,12 @@ class SyntheticSource final : public TraceSource {
 
   /// Pull stream straight off the generator's RNG cursor: jobs are
   /// produced on demand, so a month-scale trace never becomes resident.
-  /// The inherited load() drains this stream; the report counts one "row"
-  /// per generated task (nothing is ever skipped — the generator only
-  /// emits valid records).
+  /// The report counts one "row" per generated task (nothing is ever
+  /// skipped — the generator only emits valid records).
   [[nodiscard]] StreamPtr open_stream() const override;
+
+  /// drain(*open_stream()).
+  [[nodiscard]] IngestResult load() const override;
 
   /// Generation is incremental: memory is bounded by the pull batch size.
   [[nodiscard]] bool streams_lazily() const override { return true; }

@@ -525,6 +525,9 @@ SimResult Simulation::resume(const SimSnapshot& snap, JobSource& source,
                              const ResumeOverrides& overrides,
                              std::size_t batch_jobs) {
   restore_snapshot(snap);
+  // Resumes are untraced: the per-task span starts are not part of the
+  // snapshot, so post-fork spans would start from the base run's end state.
+  config_.tracer = nullptr;
   policy_override_ = overrides.policy;
   if (overrides.detection_delay_s) {
     config_.detection_delay_s = *overrides.detection_delay_s;

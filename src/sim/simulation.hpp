@@ -252,7 +252,8 @@ class Simulation {
   /// result is bit-identical to the run that took the snapshot; overrides
   /// apply from the fork onward. Must be called on the Simulation instance
   /// that captured `snap`, before any other run on it; sequential resumes
-  /// from one snapshot are fine.
+  /// from one snapshot are fine. A resume detaches SimConfig::tracer and
+  /// emits nothing (span state is not captured in a snapshot).
   SimResult resume(const SimSnapshot& snap, JobSource& source,
                    const ResumeOverrides& overrides = {},
                    std::size_t batch_jobs = kDefaultBatchJobs);

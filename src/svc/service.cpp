@@ -1,7 +1,6 @@
 #include "svc/service.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -10,33 +9,21 @@
 
 #include "api/batch.hpp"
 #include "api/fingerprint.hpp"
-#include "api/registry.hpp"
-#include "api/stream.hpp"
-#include "obs/probe.hpp"
 #include "obs/stats.hpp"
-#include "sched/registry.hpp"
 #include "sim/simulation.hpp"
 
 namespace cloudcr::svc {
 
-/// A parked what-if engine: everything the resumed replay borrows by
-/// reference or raw pointer lives here, so the SimSnapshot's captured
-/// callbacks stay valid for the entry's whole lifetime. Member order
-/// matters: the Simulation borrows the policy, scheduler, and workspace,
-/// so it is declared after them — destruction runs in reverse declaration
-/// order, tearing the Simulation down first.
+/// A parked what-if engine: the base run's api::PreparedRun (which owns
+/// the Simulation and everything it borrows, so the SimSnapshot's captured
+/// callbacks stay valid for the entry's whole lifetime) plus its snapshot.
 struct SimService::ForkEntry {
-  api::ScenarioSpec base;
-  core::PolicyPtr policy;
-  sched::SchedulerPtr scheduler;
-  std::unique_ptr<sim::ReplayWorkspace> workspace;
-  std::unique_ptr<sim::Simulation> simulation;
+  std::unique_ptr<api::PreparedRun> run;  ///< set once the base run ran
   sim::SimSnapshot snapshot;
-  bool ready = false;  ///< base run captured; guarded by mu
-  /// snapshot.approx_bytes() once ready. Atomic so stats() can sum parked
-  /// footprints without taking every entry's mutex.
+  /// snapshot.approx_bytes() once captured. Atomic so stats() can sum
+  /// parked footprints without taking every entry's mutex.
   std::atomic<std::size_t> bytes{0};
-  std::mutex mu;  ///< serializes capture + resumes
+  std::mutex mu;  ///< serializes capture + resumes; guards run, snapshot
 };
 
 namespace {
@@ -51,111 +38,6 @@ std::string format_fork(double fork_at) {
 }
 
 }  // namespace
-
-/// Runs the base scenario of `entry` through the streaming replay,
-/// capturing the snapshot at `fork_at` into the entry. Mirrors
-/// api::ScenarioRunner::run (same cursor, predictor, and accounting
-/// contract) with the Simulation parked in the entry instead of on the
-/// stack.
-api::RunArtifact SimService::capture_base_run(ForkEntry& entry,
-                                              double fork_at) {
-  const api::ScenarioSpec& spec = entry.base;
-  api::SharedTraceCursor cursor(spec.trace);
-  std::size_t history_reads = 0;
-  std::size_t history_rows = 0;
-  sim::StatsPredictor predictor;
-  {
-    api::PredictorBuilderPtr builder =
-        api::with_key_context("predictor", spec.predictor, [&] {
-          return api::PredictorRegistry::instance().make_builder(
-              spec.predictor);
-        });
-    if (builder->wants_observations()) {
-      const auto observe = [&builder](const trace::JobRecord& job) {
-        builder->observe_job(job);
-      };
-      if (spec.estimation == api::EstimationSource::kHistory) {
-        api::SharedTraceCursor history(spec.history);
-        history.feed_estimation(/*replay_view=*/true, observe);
-        history_reads = history.reads();
-        history_rows = history.rows_read();
-      } else {
-        cursor.feed_estimation(
-            spec.estimation == api::EstimationSource::kReplay, observe);
-      }
-    }
-    predictor = api::with_key_context("predictor", spec.predictor,
-                                      [&] { return builder->finalize(); });
-  }
-
-  entry.policy = api::with_key_context("policy", spec.policy, [&] {
-    return api::PolicyRegistry::instance().make(spec.policy);
-  });
-  entry.scheduler = api::with_key_context("sched", spec.sched, [&] {
-    return sched::SchedulerRegistry::instance().make(spec.sched);
-  });
-  sim::SimConfig config = api::to_sim_config(spec);
-  config.scheduler = entry.scheduler.get();
-
-  api::RunArtifact artifact;
-  artifact.spec = spec;
-
-  auto stream = cursor.open_replay_stream();
-  api::StreamJobSource source(*stream);
-  entry.workspace = std::make_unique<sim::ReplayWorkspace>();
-  const auto start = std::chrono::steady_clock::now();
-  entry.simulation = std::make_unique<sim::Simulation>(
-      std::move(config), *entry.policy, std::move(predictor),
-      entry.workspace.get());
-  artifact.result =
-      entry.simulation->run_snapshot(source, fork_at, entry.snapshot);
-  artifact.wall_time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  artifact.peak_rss_mb = obs::peak_rss_mb();
-  artifact.trace_jobs = source.jobs();
-  artifact.trace_tasks = source.tasks();
-  artifact.trace_reads = cursor.reads() + history_reads;
-  artifact.rows_read = cursor.rows_read() + history_rows +
-                       (cursor.streams_lazily() ? source.tasks() : 0);
-  return artifact;
-}
-
-/// Replays the post-fork suffix of `entry` against a fresh pass over the
-/// base trace. No estimation pass: the parked Simulation already owns its
-/// predictor.
-api::RunArtifact SimService::resume_run(ForkEntry& entry,
-                                        const WhatIfRequest& request) {
-  core::PolicyPtr override_policy;
-  sim::ResumeOverrides overrides;
-  if (!request.policy.empty()) {
-    override_policy = api::with_key_context("policy", request.policy, [&] {
-      return api::PolicyRegistry::instance().make(request.policy);
-    });
-    overrides.policy = override_policy.get();
-  }
-  overrides.detection_delay_s = request.detection_delay_s;
-
-  api::SharedTraceCursor cursor(entry.base.trace);
-  auto stream = cursor.open_replay_stream();
-  api::StreamJobSource source(*stream);
-
-  api::RunArtifact artifact;
-  artifact.spec = entry.base;
-  const auto start = std::chrono::steady_clock::now();
-  artifact.result =
-      entry.simulation->resume(entry.snapshot, source, overrides);
-  artifact.wall_time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  artifact.peak_rss_mb = obs::peak_rss_mb();
-  artifact.trace_jobs = source.jobs();
-  artifact.trace_tasks = source.tasks();
-  artifact.trace_reads = cursor.reads();
-  artifact.rows_read =
-      cursor.rows_read() + (cursor.streams_lazily() ? source.tasks() : 0);
-  return artifact;
-}
 
 SimService::SimService(ServiceOptions options) : options_(options) {
   if (options_.cache_capacity == 0) options_.cache_capacity = 1;
@@ -293,8 +175,7 @@ std::vector<ServiceReply> SimService::batch(
 }
 
 std::shared_ptr<SimService::ForkEntry> SimService::fork_entry(
-    const api::ScenarioSpec& base, const std::string& base_key,
-    double fork_at) {
+    const std::string& base_key, double fork_at) {
   const std::string key = base_key + "|fork@" + format_fork(fork_at);
   const std::lock_guard<std::mutex> lock(mu_);
   if (auto it = fork_index_.find(key); it != fork_index_.end()) {
@@ -302,7 +183,6 @@ std::shared_ptr<SimService::ForkEntry> SimService::fork_entry(
     return it->second->second;
   }
   auto entry = std::make_shared<ForkEntry>();
-  entry->base = base;
   fork_lru_.emplace_front(key, entry);
   fork_index_.emplace(key, fork_lru_.begin());
   while (fork_lru_.size() > options_.snapshot_capacity) {
@@ -324,6 +204,9 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
   if (!std::isfinite(request.fork_at)) {
     throw std::invalid_argument("whatif: fork_at must be finite");
   }
+  if (request.detection_delay_s && !std::isfinite(*request.detection_delay_s)) {
+    throw std::invalid_argument("whatif: detection_delay_s must be finite");
+  }
   const std::string base_key = api::scenario_cache_key(request.base);
   std::string key = base_key + "|fork@" + format_fork(request.fork_at) +
                     "|policy=" + request.policy + "|detection=";
@@ -336,18 +219,19 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
   ArtifactFuture future = lookup(key, promise, creator, hit);
   if (creator) {
     try {
-      auto entry = fork_entry(request.base, base_key, request.fork_at);
+      auto entry = fork_entry(base_key, request.fork_at);
       const std::lock_guard<std::mutex> entry_lock(entry->mu);
-      if (!entry->ready) {
+      if (!entry->run) {
+        auto run = std::make_unique<api::PreparedRun>(request.base);
         api::RunArtifact base_artifact =
-            capture_base_run(*entry, request.fork_at);
+            run->run_snapshot(request.fork_at, entry->snapshot);
+        entry->run = std::move(run);
         account_executed(base_artifact);
         entry->bytes.store(entry->snapshot.approx_bytes(),
                            std::memory_order_relaxed);
-        entry->ready = true;
         // Bank the base run: answering the what-if also warmed its base
-        // scenario (results are path-independent, so this artifact is the
-        // one run(base) would have produced).
+        // scenario (a snapshot run is bit-identical to a plain run, so
+        // this artifact is the one run(base) would have produced).
         insert_ready(base_key, std::make_shared<api::RunArtifact>(
                                    std::move(base_artifact)));
         {
@@ -356,8 +240,8 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
           obs::st::svc_snapshot_bytes.add(parked_bytes_locked());
         }
       }
-      auto artifact =
-          std::make_shared<api::RunArtifact>(resume_run(*entry, request));
+      auto artifact = std::make_shared<api::RunArtifact>(entry->run->resume(
+          entry->snapshot, request.policy, request.detection_delay_s));
       account_executed(*artifact);
       {
         const std::lock_guard<std::mutex> lock(mu_);

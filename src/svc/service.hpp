@@ -17,11 +17,13 @@
 ///   - A what-if request (base spec + fork_at + overrides) resumes from a
 ///     parked engine snapshot instead of replaying from zero. The first
 ///     what-if against a (base, fork_at) pair runs the base scenario once
-///     through sim::Simulation::run_snapshot, parks the Simulation
-///     plus its sim::SimSnapshot, and banks the base artifact; every later
-///     what-if at that fork only replays the post-fork suffix. With empty
-///     overrides the resumed artifact is byte-identical to a replay from
-///     zero — the snapshot==replay house invariant, pinned by
+///     as an api::PreparedRun::run_snapshot — the same code path, obs=
+///     handling, and accounting as api::ScenarioRunner::run — parks that
+///     PreparedRun plus its sim::SimSnapshot, and banks the base artifact;
+///     every later what-if at that fork only resumes the post-fork suffix
+///     (untraced: a resume writes no obs trace file). With empty overrides
+///     the resumed artifact is byte-identical to a replay from zero — the
+///     snapshot==replay house invariant, pinned by
 ///     tests/svc/snapshot_identity_test.cpp.
 ///
 /// All entry points are thread-safe; concurrent requests for the same key
@@ -84,7 +86,8 @@ struct WhatIfRequest {
   /// PolicyRegistry key for tasks dispatched after the fork; empty keeps
   /// the base policy.
   std::string policy;
-  /// Failure-detection latency from the fork onward; nullopt keeps base.
+  /// Failure-detection latency from the fork onward (finite); nullopt
+  /// keeps base.
   std::optional<double> detection_delay_s;
 };
 
@@ -142,20 +145,12 @@ class SimService {
                std::exception_ptr error);
   void account_executed(const api::RunArtifact& artifact);
 
-  /// The parked engine for (base, fork_at), creating (and base-running) it
-  /// on first use. The entry's mutex is held by the caller during resume.
-  std::shared_ptr<ForkEntry> fork_entry(const api::ScenarioSpec& base,
-                                        const std::string& base_key,
+  /// The parked engine slot for (base, fork_at), created empty on first
+  /// use; the caller base-runs it under the entry's mutex.
+  std::shared_ptr<ForkEntry> fork_entry(const std::string& base_key,
                                         double fork_at);
   /// Sum of parked snapshot footprints; caller holds mu_.
   [[nodiscard]] std::uint64_t parked_bytes_locked() const;
-
-  /// Base run of `entry` through the streaming replay, parking the engine
-  /// snapshot at `fork_at` in the entry (caller holds the entry mutex).
-  static api::RunArtifact capture_base_run(ForkEntry& entry, double fork_at);
-  /// Post-fork replay of a ready entry with the request's overrides.
-  static api::RunArtifact resume_run(ForkEntry& entry,
-                                     const WhatIfRequest& request);
 
   ServiceOptions options_;
 

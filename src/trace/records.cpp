@@ -1,6 +1,7 @@
 #include "trace/records.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace cloudcr::trace {
 
@@ -62,6 +63,13 @@ std::size_t JobRecord::failed_task_count() const {
   return n;
 }
 
+bool JobRecord::within_length(double limit_s) const {
+  if (limit_s == std::numeric_limits<double>::infinity()) return true;
+  return std::all_of(
+      tasks.begin(), tasks.end(),
+      [limit_s](const TaskRecord& task) { return task.length_s <= limit_s; });
+}
+
 std::size_t Trace::task_count() const {
   std::size_t n = 0;
   for (const auto& j : jobs) n += j.tasks.size();
@@ -72,10 +80,7 @@ Trace restrict_length(const Trace& trace, double limit_s) {
   Trace out;
   out.horizon_s = trace.horizon_s;
   for (const auto& job : trace.jobs) {
-    const bool ok = std::all_of(
-        job.tasks.begin(), job.tasks.end(),
-        [limit_s](const TaskRecord& task) { return task.length_s <= limit_s; });
-    if (ok) out.jobs.push_back(job);
+    if (job.within_length(limit_s)) out.jobs.push_back(job);
   }
   return out;
 }

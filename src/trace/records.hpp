@@ -107,6 +107,14 @@ struct JobRecord {
   [[nodiscard]] double total_memory() const;
   /// Number of tasks with at least one failure within their own length.
   [[nodiscard]] std::size_t failed_task_count() const;
+  /// The paper's sample-job filter (Section 5.1): at least half the tasks
+  /// fail within their own productive length.
+  [[nodiscard]] bool is_sample_job() const {
+    return 2 * failed_task_count() >= tasks.size();
+  }
+  /// True when every task is at most `limit_s` long: the replay-length
+  /// predicate of restrict_length and of the streamed replay view.
+  [[nodiscard]] bool within_length(double limit_s) const;
 };
 
 /// A full synthetic trace: jobs ordered by arrival plus the horizon covered.

@@ -126,21 +126,6 @@ TEST(BatchRunnerProperty, ParallelIsBitIdenticalToSerial) {
   }
 }
 
-TEST(BatchRunnerProperty, TraceSharingDoesNotChangeResults) {
-  const auto specs = property_grid();
-  BatchOptions shared;
-  shared.threads = 3;
-  shared.share_traces = true;
-  BatchOptions unshared;
-  unshared.threads = 3;
-  unshared.share_traces = false;
-  const auto a = BatchRunner(shared).run(specs);
-  const auto b = BatchRunner(unshared).run(specs);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(a[i], b[i]);
-  }
-}
-
 TEST(BatchRunner, ArtifactsArriveInSpecOrder) {
   auto specs = property_grid();
   BatchOptions options;

@@ -133,14 +133,21 @@ TEST(ScenarioSerialization, RejectsMalformedInput) {
 // service request with zero completed jobs (cluster.vm_memory_mb) or an
 // internal engine error (storage_noise). The parser rejects them all,
 // naming the key and the value.
+// NaN and +-inf: every numeric key names itself in full (a trace. or
+// history. prefix included) and echoes the value. Only the replay length
+// limit, whose default is +inf, accepts an infinity.
 TEST(ScenarioSerialization, RejectsNaNNamingKeyAndValue) {
-  for (const std::string key : {"cluster.vm_memory_mb", "storage_noise"}) {
+  for (const std::string key :
+       {"cluster.vm_memory_mb", "storage_noise", "detection_delay_s",
+        "trace.horizon_s", "trace.arrival_rate", "trace.long_service_fraction",
+        "history.horizon_s", "history.arrival_rate"}) {
     for (const std::string value :
-         {"nan", "NaN", "-nan", "+NAN", "nan(0x7ff)", " nan"}) {
+         {"nan", "NaN", "-nan", "+NAN", "nan(0x7ff)", " nan", "inf", "-inf",
+          "+INF", "Infinity", "-infinity"}) {
       SCOPED_TRACE(key + "=" + value);
       try {
         (void)parse_scenario(key + "=" + value + "\n");
-        ADD_FAILURE() << "NaN was accepted";
+        ADD_FAILURE() << "non-finite value was accepted";
       } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("scenario key '" + key +
                                              "' = '" + value + "'"),
@@ -149,6 +156,10 @@ TEST(ScenarioSerialization, RejectsNaNNamingKeyAndValue) {
       }
     }
   }
+  EXPECT_TRUE(std::isinf(parse_scenario("trace.replay_max_task_length_s=inf")
+                             .trace.replay_max_task_length_s));
+  EXPECT_TRUE(std::isinf(parse_scenario("history.replay_max_task_length_s=inf")
+                             .history.replay_max_task_length_s));
 }
 
 TEST(EnumTokens, RoundTrip) {

@@ -6,8 +6,8 @@
 // (borrowed in place through sim::TraceJobSource). Both must produce
 // byte-identical artifacts across every built-in source kind, seeds,
 // policies, estimation modes, chunk sizes, and — since the PredictorBuilder
-// observation contract — custom registered predictors, serial and through
-// a threaded BatchRunner with stream_traces on. This is what makes the
+// observation contract — custom registered predictors, serial and against
+// a threaded BatchRunner over the shared trace cache. This is what makes the
 // memory-bounded month-scale path trustworthy: streaming can change the
 // footprint, never the results. The suite also pins the SharedTraceCursor
 // pass accounting (single-pass sources serve estimation and replay from
@@ -248,21 +248,21 @@ TEST_P(StreamedEqualsMaterialized, AcrossSourcesPoliciesAndBatchSizes) {
   }
 }
 
-TEST_P(StreamedEqualsMaterialized, ThreadedBatchWithStreamCursors) {
+TEST_P(StreamedEqualsMaterialized, ThreadedBatchMatchesStreamedRuns) {
   const auto specs = grid(GetParam());
 
-  BatchOptions cached;
-  cached.threads = 1;
-  const std::string materialized = render(BatchRunner(cached).run(specs));
+  BatchOptions threaded;
+  threaded.threads = 4;
+  const std::string materialized = render(BatchRunner(threaded).run(specs));
 
-  BatchOptions streaming;
-  streaming.threads = 4;
-  streaming.stream_traces = true;
-  streaming.stream_batch_jobs = 16;
-  const std::string streamed = render(BatchRunner(streaming).run(specs));
+  std::vector<RunArtifact> runs;
+  for (const auto& spec : specs) {
+    runs.push_back(ScenarioRunner(spec).run({}, 16));
+  }
+  const std::string streamed = render(runs);
 
   EXPECT_EQ(materialized, streamed)
-      << "threaded stream-cursor batch diverged from the cached serial run";
+      << "threaded cached batch diverged from serial stream-cursor runs";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamedEqualsMaterialized,

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "api/runner.hpp"
 #include "ingest/source.hpp"
 #include "trace/generator.hpp"
 
@@ -80,10 +81,11 @@ TEST(GoogleSource, GoldenReconstruction) {
   EXPECT_DOUBLE_EQ(t1.failure_dates[0], 30.0);  // killed at the end
 
   // Both tasks fail within their own length: the job survives the paper's
-  // sample-job filter.
-  trace::Trace filtered = trace;
-  apply_sample_job_filter(filtered);
-  EXPECT_EQ(filtered.job_count(), 1u);
+  // sample-job filter as a spec applies it.
+  api::TraceSpec spec;
+  spec.source = "google:" + path;
+  spec.sample_job_filter = true;
+  EXPECT_EQ(api::make_trace(spec).job_count(), 1u);
 }
 
 TEST(GoogleSource, MalformedRowsAreSkippedAndReportedExactly) {

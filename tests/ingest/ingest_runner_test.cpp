@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -76,13 +77,18 @@ TEST(IngestedScenario, RoundTripsRunsUnderBatchAndMatchesInMemoryTrace) {
   ASSERT_EQ(parsed, spec);
   ASSERT_EQ(parsed.trace.source, spec.trace.source);
 
-  // 2. The equivalent in-memory trace: ingest once by hand, then apply the
-  // same post-processing the spec asks for.
-  trace::Trace in_memory =
+  // 2. The equivalent in-memory trace, materialized through make_trace: the
+  // hand-ingested log with the paper's sample-job filter applied.
+  const trace::Trace raw =
       ingest::TraceSourceRegistry::instance().make(spec.trace.source)
           ->load()
           .trace;
-  ingest::apply_sample_job_filter(in_memory);
+  trace::Trace in_memory = make_trace(parsed.trace);
+  const auto sample_jobs = std::count_if(
+      raw.jobs.begin(), raw.jobs.end(),
+      [](const trace::JobRecord& job) { return job.is_sample_job(); });
+  ASSERT_EQ(in_memory.job_count(), static_cast<std::size_t>(sample_jobs));
+  ASSERT_LT(in_memory.job_count(), raw.job_count());
   ASSERT_GT(in_memory.job_count(), 0u);
 
   // 3. Parallel batch over the parsed spec (two specs so the trace cache

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace_writer.hpp"
 #include "sim/predictors.hpp"
 #include "trace/generator.hpp"
 
@@ -413,6 +414,36 @@ TEST(Simulation, OracleBeatsWrongStatsOnAverage) {
              trace);
   ASSERT_GT(oracle.outcomes.size(), 0u);
   EXPECT_GT(oracle.average_wpr(), wrong.average_wpr());
+}
+
+// A resume is untraced: span starts are not part of a snapshot, so the
+// engine detaches its tracer rather than emitting post-fork spans (with the
+// base run's end state as their starts) into the base run's writer.
+TEST(Simulation, ResumeEmitsNothingIntoTheBaseTracer) {
+  trace::GeneratorConfig gcfg;
+  gcfg.seed = 31;
+  gcfg.horizon_s = 3600.0;
+  gcfg.arrival_rate = 0.05;
+  const auto trace = trace::TraceGenerator(gcfg).generate();
+  obs::TraceWriterOptions opts;
+  opts.ring_capacity = std::size_t{1} << 20;
+  obs::TraceWriter writer(opts);
+  SimConfig cfg = default_config();
+  cfg.tracer = &writer;
+  const core::MnofPolicy policy;
+  Simulation sim(cfg, policy, make_grouped_predictor(trace));
+
+  SimSnapshot snapshot;
+  TraceJobSource base_source(trace);
+  const SimResult base = sim.run_snapshot(base_source, 1800.0, snapshot);
+  const std::size_t base_events = writer.size();
+  ASSERT_GT(base_events, 0u);
+
+  TraceJobSource resume_source(trace);
+  const SimResult resumed = sim.resume(snapshot, resume_source);
+  EXPECT_EQ(writer.size(), base_events);
+  EXPECT_EQ(resumed.events_dispatched, base.events_dispatched);
+  EXPECT_EQ(resumed.makespan_s, base.makespan_s);
 }
 
 }  // namespace
