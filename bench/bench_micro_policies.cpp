@@ -4,10 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "core/controller.hpp"
 #include "core/expected_cost.hpp"
 #include "core/policy.hpp"
 #include "core/storage_selector.hpp"
+#include "sched/policies.hpp"
 
 namespace {
 
@@ -89,6 +94,57 @@ void BM_ControllerCheckpointStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ControllerCheckpointStep);
+
+// decide() is stateless, so every round re-derives the shadow/profile
+// reservations from scratch; this pins the cost of that re-derivation
+// (EASY's shadow scan and conservative's availability profile — the profile
+// is the superlinear part, so the queue here is deep for a replay but small
+// in absolute terms) on a contended 48-deep queue against a 24-job running
+// set. One iteration is one EASY and one conservative decide() per
+// availability level.
+void BM_BackfillDecide(benchmark::State& state) {
+  constexpr std::size_t kQueue = 48;
+  constexpr std::size_t kRunning = 24;
+  constexpr std::size_t kRounds = 40;
+  std::vector<sched::PendingJob> queue(kQueue);
+  for (std::size_t i = 0; i < kQueue; ++i) {
+    queue[i].id = i;
+    queue[i].slot = static_cast<std::uint32_t>(i);
+    queue[i].arrival_s = static_cast<double>(i);
+    queue[i].demand_mb = 128.0 + static_cast<double>((i * 7919) % 1024);
+    queue[i].estimate_s = 60.0 + static_cast<double>((i * 104729) % 3600);
+    queue[i].priority = 1 + static_cast<int>(i % 12);
+  }
+  std::vector<sched::RunningJob> running(kRunning);
+  for (std::size_t i = 0; i < kRunning; ++i) {
+    running[i].id = 100000 + i;
+    running[i].slot = static_cast<std::uint32_t>(kQueue + i);
+    running[i].demand_mb = 256.0 + static_cast<double>((i * 31) % 512);
+    running[i].est_end_s = 30.0 + static_cast<double>((i * 613) % 7200);
+    running[i].priority = 1 + static_cast<int>((i * 5) % 12);
+  }
+  const sched::SchedulerPtr easy = sched::make_easy_backfill();
+  const sched::SchedulerPtr conservative = sched::make_conservative_backfill();
+  sched::ResourceView view;
+  view.total_capacity_mb = 32.0 * 1024.0;
+  view.max_available_mb = 1024.0;
+  sched::Decision decision;
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      view.now_s = static_cast<double>(r);
+      // Sweep availability so both the saturated and the draining cluster
+      // shapes get exercised.
+      view.total_available_mb = static_cast<double>((r * 97) % 8192);
+      for (const auto* policy : {easy.get(), conservative.get()}) {
+        decision.clear();
+        policy->decide(view, queue, running, decision);
+        benchmark::DoNotOptimize(decision);
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kRounds * 2);
+}
+BENCHMARK(BM_BackfillDecide);
 
 }  // namespace
 

@@ -33,6 +33,17 @@ double parse_double(const std::string& key, const std::string& value,
   return v;
 }
 
+/// Finite, non-negative numeric key: a noise magnitude or a delay.
+double parse_nonnegative_double(const std::string& key,
+                                const std::string& value) {
+  const double v = parse_double(key, value);
+  if (v < 0.0) {
+    throw std::invalid_argument("scenario key '" + key + "' = '" + value +
+                                "': negative");
+  }
+  return v;
+}
+
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   return parse_checked_u64("scenario key '" + key + "'", value);
 }
@@ -292,11 +303,11 @@ ScenarioSpec parse_scenario(const std::string& text) {
       spec.shared_device = with_key_context(
           "shared_device", value, [&] { return parse_device(value); });
     } else if (key == "storage_noise") {
-      spec.storage_noise = parse_double(key, value);
+      spec.storage_noise = parse_nonnegative_double(key, value);
     } else if (key == "sim_seed") {
       spec.sim_seed = parse_u64(key, value);
     } else if (key == "detection_delay_s") {
-      spec.detection_delay_s = parse_double(key, value);
+      spec.detection_delay_s = parse_nonnegative_double(key, value);
     } else if (key == "cluster.hosts") {
       spec.cluster.hosts = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "cluster.vms_per_host") {

@@ -175,8 +175,7 @@ std::vector<ServiceReply> SimService::batch(
 }
 
 std::shared_ptr<SimService::ForkEntry> SimService::fork_entry(
-    const std::string& base_key, double fork_at) {
-  const std::string key = base_key + "|fork@" + format_fork(fork_at);
+    const std::string& key) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (auto it = fork_index_.find(key); it != fork_index_.end()) {
     fork_lru_.splice(fork_lru_.begin(), fork_lru_, it->second);
@@ -192,6 +191,18 @@ std::shared_ptr<SimService::ForkEntry> SimService::fork_entry(
   return entry;
 }
 
+void SimService::drop_unbuilt_fork(const std::string& key,
+                                   const std::shared_ptr<ForkEntry>& entry) {
+  const std::lock_guard<std::mutex> entry_lock(entry->mu);
+  if (entry->run) return;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (auto it = fork_index_.find(key);
+      it != fork_index_.end() && it->second->second == entry) {
+    fork_lru_.erase(it->second);
+    fork_index_.erase(it);
+  }
+}
+
 std::uint64_t SimService::parked_bytes_locked() const {
   std::uint64_t total = 0;
   for (const auto& [key, entry] : fork_lru_) {
@@ -204,12 +215,17 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
   if (!std::isfinite(request.fork_at)) {
     throw std::invalid_argument("whatif: fork_at must be finite");
   }
-  if (request.detection_delay_s && !std::isfinite(*request.detection_delay_s)) {
-    throw std::invalid_argument("whatif: detection_delay_s must be finite");
+  if (request.detection_delay_s) {
+    const double delay = *request.detection_delay_s;
+    if (!std::isfinite(delay) || delay < 0.0) {
+      throw std::invalid_argument(
+          "whatif: detection_delay_s must be finite and non-negative");
+    }
   }
   const std::string base_key = api::scenario_cache_key(request.base);
-  std::string key = base_key + "|fork@" + format_fork(request.fork_at) +
-                    "|policy=" + request.policy + "|detection=";
+  const std::string fork_key =
+      base_key + "|fork@" + format_fork(request.fork_at);
+  std::string key = fork_key + "|policy=" + request.policy + "|detection=";
   key += request.detection_delay_s ? format_fork(*request.detection_delay_s)
                                    : "base";
 
@@ -218,8 +234,9 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
   bool hit = false;
   ArtifactFuture future = lookup(key, promise, creator, hit);
   if (creator) {
+    std::shared_ptr<ForkEntry> entry;
     try {
-      auto entry = fork_entry(base_key, request.fork_at);
+      entry = fork_entry(fork_key);
       const std::lock_guard<std::mutex> entry_lock(entry->mu);
       if (!entry->run) {
         auto run = std::make_unique<api::PreparedRun>(request.base);
@@ -250,6 +267,9 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
       }
       promise.set_value(std::move(artifact));
     } catch (...) {
+      // A failed base run must not keep an empty slot that takes capacity
+      // from parked engines.
+      if (entry) drop_unbuilt_fork(fork_key, entry);
       abandon(key, promise, std::current_exception());
       throw;
     }

@@ -145,10 +145,13 @@ class SimService {
                std::exception_ptr error);
   void account_executed(const api::RunArtifact& artifact);
 
-  /// The parked engine slot for (base, fork_at), created empty on first
-  /// use; the caller base-runs it under the entry's mutex.
-  std::shared_ptr<ForkEntry> fork_entry(const std::string& base_key,
-                                        double fork_at);
+  /// The parked engine slot for the (base, fork_at) key, created empty on
+  /// first use; the caller base-runs it under the entry's mutex.
+  std::shared_ptr<ForkEntry> fork_entry(const std::string& key);
+  /// Removes `entry` from the snapshot LRU if `key` still maps to it and its
+  /// base run never completed (the base run threw).
+  void drop_unbuilt_fork(const std::string& key,
+                         const std::shared_ptr<ForkEntry>& entry);
   /// Sum of parked snapshot footprints; caller holds mu_.
   [[nodiscard]] std::uint64_t parked_bytes_locked() const;
 

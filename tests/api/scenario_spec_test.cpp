@@ -162,6 +162,27 @@ TEST(ScenarioSerialization, RejectsNaNNamingKeyAndValue) {
                              .history.replay_max_task_length_s));
 }
 
+// A negative noise magnitude or detection delay has no meaning; it once
+// replayed as 0 while caching under its own key.
+TEST(ScenarioSerialization, RejectsNegativeNoiseAndDelayNamingKeyAndValue) {
+  for (const std::string key : {"storage_noise", "detection_delay_s"}) {
+    for (const std::string value : {"-1", "-3", "-1e-300"}) {
+      SCOPED_TRACE(key + "=" + value);
+      try {
+        (void)parse_scenario(key + "=" + value + "\n");
+        ADD_FAILURE() << "negative value was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("scenario key '" + key +
+                                             "' = '" + value + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(parse_scenario("storage_noise=0").storage_noise, 0.0);
+  EXPECT_EQ(parse_scenario("detection_delay_s=0").detection_delay_s, 0.0);
+}
+
 TEST(EnumTokens, RoundTrip) {
   for (const auto mode :
        {sim::PlacementMode::kAutoSelect, sim::PlacementMode::kForceLocal,

@@ -1,4 +1,4 @@
-#include "core/theorems.hpp"
+#include "theorems.hpp"
 
 #include <gtest/gtest.h>
 

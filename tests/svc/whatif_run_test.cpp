@@ -3,7 +3,8 @@
 // (trace file, api.* timers) and banks an artifact whose host fields are
 // filled like any other run's. A resume from the parked snapshot is
 // untraced: it writes no file of its own and never re-writes the base's.
-// Non-finite what-if knobs are rejected before any run starts.
+// Non-finite or negative what-if knobs are rejected before any run starts,
+// and a base run that throws gives its parked-engine slot back.
 
 #include <cstdint>
 #include <cstdio>
@@ -106,12 +107,37 @@ TEST(WhatIfRun, StatsSpecFlushesApiTimers) {
   EXPECT_GT(estimation_ns, 0u);
 }
 
-TEST(WhatIfRun, RejectsNonFiniteDetectionDelay) {
+TEST(WhatIfRun, RejectsNonFiniteOrNegativeDetectionDelay) {
   SimService service;
   WhatIfRequest request = whatif_of(base_spec("whatif_inf"), "");
-  request.detection_delay_s = std::numeric_limits<double>::infinity();
-  EXPECT_THROW((void)service.whatif(request), std::invalid_argument);
+  for (const double delay : {std::numeric_limits<double>::infinity(), -3.0}) {
+    request.detection_delay_s = delay;
+    EXPECT_THROW((void)service.whatif(request), std::invalid_argument);
+  }
   EXPECT_EQ(service.stats().snapshot_captures, 0u);
+}
+
+// A base run that throws leaves no empty fork slot behind: with room for two
+// parked engines, the failed request must not evict the first fork.
+TEST(WhatIfRun, FailedBaseRunFreesItsForkSlot) {
+  ServiceOptions options;
+  options.snapshot_capacity = 2;
+  SimService service(options);
+  auto request = [](double horizon_s, const char* base_policy,
+                    const char* policy) {
+    WhatIfRequest r;
+    r.base.trace.horizon_s = horizon_s;
+    r.base.policy = base_policy;
+    r.fork_at = 300.0;
+    r.policy = policy;
+    return r;
+  };
+  (void)service.whatif(request(600.0, "formula3", "young"));
+  EXPECT_THROW((void)service.whatif(request(600.0, "bogus", "young")),
+               std::invalid_argument);
+  (void)service.whatif(request(700.0, "formula3", "young"));
+  (void)service.whatif(request(600.0, "formula3", "daly"));
+  EXPECT_EQ(service.stats().snapshot_captures, 2u);
 }
 
 }  // namespace
