@@ -1,17 +1,9 @@
 #include "core/controller.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 namespace cloudcr::core {
-
-namespace {
-
-bool stats_equal(const FailureStats& a, const FailureStats& b) {
-  return a.mnof == b.mnof && a.mtbf_s == b.mtbf_s;
-}
-
-}  // namespace
 
 CheckpointController::CheckpointController(
     const CheckpointPolicy& policy, double total_work_s, double mem_mb,
@@ -47,31 +39,6 @@ void CheckpointController::replan(double progress_s) {
   anchor_s_ = progress_s;
   planned_stats_ = stats_;
   ++replans_;
-}
-
-std::optional<double> CheckpointController::work_until_next_checkpoint(
-    double progress_s) const {
-  if (progress_s >= total_work_s_) return std::nullopt;
-  if (interval_ <= 0.0) return std::nullopt;
-  // Next multiple of the interval after the anchor that is strictly ahead of
-  // the current progress.
-  const double since_anchor = progress_s - anchor_s_;
-  const double k = std::floor(since_anchor / interval_ + 1e-12) + 1.0;
-  const double next = anchor_s_ + k * interval_;
-  if (next >= total_work_s_ - 1e-9) return std::nullopt;  // end-of-task
-  return next - progress_s;
-}
-
-void CheckpointController::on_checkpoint(double progress_s) {
-  if (mode_ == AdaptationMode::kAdaptive &&
-      !stats_equal(stats_, planned_stats_)) {
-    // Algorithm 1 lines 9-12: MNOF changed during the last interval.
-    replan(progress_s);
-    return;
-  }
-  // Theorem 2: positions stay put while MNOF is unchanged — just re-anchor
-  // on the checkpoint that was taken (numerically identical positions).
-  anchor_s_ = progress_s;
 }
 
 void CheckpointController::on_rollback(double progress_s) {

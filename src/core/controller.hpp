@@ -13,6 +13,7 @@
 /// The controller advances in *productive time*: the caller reports progress
 /// and events; the controller answers "when is the next checkpoint due".
 
+#include <cmath>
 #include <optional>
 
 #include "core/expected_cost.hpp"
@@ -55,12 +56,44 @@ class CheckpointController {
   /// Productive work remaining until the next scheduled checkpoint, from the
   /// task's current progress. Returns nullopt when no further checkpoint is
   /// planned before completion.
+  ///
+  /// Inline: the checkpoint-run replay calls it once per checkpoint, always
+  /// right after on_checkpoint() re-anchored on the same progress. There
+  /// floor(0/I + 1e-12) + 1 is exactly 1, so the next boundary is
+  /// anchor + I without the division; any other progress takes the general
+  /// formula. Both give the same bits.
   [[nodiscard]] std::optional<double> work_until_next_checkpoint(
-      double progress_s) const;
+      double progress_s) const {
+    if (progress_s >= total_work_s_) return std::nullopt;
+    if (interval_ <= 0.0) return std::nullopt;
+    double next;
+    if (progress_s == anchor_s_) {
+      next = anchor_s_ + interval_;
+    } else {
+      // Next multiple of the interval after the anchor that is strictly
+      // ahead of the current progress.
+      const double since_anchor = progress_s - anchor_s_;
+      const double k = std::floor(since_anchor / interval_ + 1e-12) + 1.0;
+      next = anchor_s_ + k * interval_;
+    }
+    if (next >= total_work_s_ - 1e-9) return std::nullopt;  // end-of-task
+    return next - progress_s;
+  }
 
   /// Reports that a checkpoint completed at `progress_s` of productive work;
   /// re-plans if adaptive and MNOF changed since the last plan.
-  void on_checkpoint(double progress_s);
+  void on_checkpoint(double progress_s) {
+    if (mode_ == AdaptationMode::kAdaptive &&
+        !stats_equal(stats_, planned_stats_)) {
+      // Algorithm 1 lines 9-12: MNOF changed during the last interval.
+      replan(progress_s);
+      return;
+    }
+    // Theorem 2: positions stay put while MNOF is unchanged — just
+    // re-anchor on the checkpoint that was taken (numerically identical
+    // positions).
+    anchor_s_ = progress_s;
+  }
 
   /// Reports a failure rollback to `progress_s` (the last saved progress).
   void on_rollback(double progress_s);
@@ -84,6 +117,9 @@ class CheckpointController {
   [[nodiscard]] AdaptationMode mode() const noexcept { return mode_; }
 
  private:
+  static bool stats_equal(const FailureStats& a, const FailureStats& b) {
+    return a.mnof == b.mnof && a.mtbf_s == b.mtbf_s;
+  }
   void replan(double progress_s);
 
   const CheckpointPolicy& policy_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -86,50 +87,76 @@ class EasyBackfill final : public SchedulerPolicy {
 };
 
 /// Piecewise-constant availability profile over estimated completions and
-/// reservations. avail(t) = base + sum of deltas at instants <= t.
+/// reservations. avail(t) = base + sum of deltas at instants <= t, summed in
+/// insertion order.
+///
+/// The profile keeps avail at each distinct event instant, sorted by
+/// instant. Appending an event at t adds its delta last to the sum at every
+/// instant >= t, which is the same float as summing again in insertion
+/// order, and a new instant's sum is taken once over the events. So add() is
+/// linear in the profile size and earliest_fit() scans each candidate window
+/// once, where evaluating every sum afresh per window made one decide()
+/// cubic.
 class Profile {
  public:
   Profile(double base, double now) : base_(base), now_(now) {}
 
-  void add(double t, double delta) { events_.emplace_back(t, delta); }
-
-  [[nodiscard]] double at(double t) const {
-    double v = base_;
-    for (const auto& [when, delta] : events_) {
-      if (when <= t) v += delta;
+  void add(double t, double delta) {
+    events_.emplace_back(t, delta);
+    auto it = std::lower_bound(
+        steps_.begin(), steps_.end(), t,
+        [](const Step& s, double x) { return s.when < x; });
+    if (it == steps_.end() || it->when != t) {
+      double v = base_;  // the new instant's sum, this delta included
+      for (const auto& [when, d] : events_) {
+        if (when <= t) v += d;
+      }
+      it = std::next(steps_.insert(it, Step{t, v}));
     }
-    return v;
+    for (; it != steps_.end(); ++it) it->avail += delta;
   }
 
-  /// Minimum availability over the half-open window [start, start + len).
-  [[nodiscard]] double window_min(double start, double len) const {
-    double lo = at(start);
-    const double end = start + len;
-    for (const auto& [when, delta] : events_) {
-      if (when > start && when < end) lo = std::min(lo, at(when));
-    }
-    return lo;
-  }
-
-  /// Earliest start >= now at which `demand` fits for `len` seconds.
+  /// Earliest start >= now at which `demand` fits for `len` seconds: the
+  /// minimum availability over [start, start + len) is >= demand.
+  /// Candidates are now and every later event instant.
   [[nodiscard]] double earliest_fit(double demand, double len) const {
-    if (window_min(now_, len) >= demand) return now_;
-    std::vector<double> candidates;
-    candidates.reserve(events_.size());
-    for (const auto& [when, delta] : events_) {
-      if (when > now_) candidates.push_back(when);
-    }
-    std::sort(candidates.begin(), candidates.end());
-    for (const double t : candidates) {
-      if (window_min(t, len) >= demand) return t;
+    const auto later = std::upper_bound(
+        steps_.begin(), steps_.end(), now_,
+        [](double x, const Step& s) { return x < s.when; });
+    const double at_now =
+        later == steps_.begin() ? base_ : std::prev(later)->avail;
+    if (fits(later, now_, at_now, demand, len)) return now_;
+    for (auto it = later; it != steps_.end(); ++it) {
+      if (fits(std::next(it), it->when, it->avail, demand, len)) {
+        return it->when;
+      }
     }
     return kInf;
   }
 
  private:
+  struct Step {
+    double when;
+    double avail;  ///< avail(when)
+  };
+
+  /// Whether `demand` fits over [start, start + len), given avail(start)
+  /// and the first step after start. As a minimum taken with std::min from
+  /// avail(start) on: a NaN start fails, and NaN steps inside are skipped.
+  [[nodiscard]] bool fits(std::vector<Step>::const_iterator next, double start,
+                          double at_start, double demand, double len) const {
+    if (!(at_start >= demand)) return false;
+    const double end = start + len;
+    for (; next != steps_.end() && next->when < end; ++next) {
+      if (next->avail < demand) return false;
+    }
+    return true;
+  }
+
   double base_;
   double now_;
-  std::vector<std::pair<double, double>> events_;
+  std::vector<std::pair<double, double>> events_;  ///< insertion order
+  std::vector<Step> steps_;                        ///< ascending instants
 };
 
 /// Conservative backfill: every queued job, not just the head, holds a

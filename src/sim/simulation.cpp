@@ -856,61 +856,96 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
   // schedules one engine event for the first wakeup that genuinely needs
   // the event loop.
   //
+  // A pure device prices every op of the run the same, so the run's first
+  // op is priced (and ended) once up front and the other n-1 are booked in
+  // one note_ops() call at the exit; impure devices leave after their first
+  // iteration. The task's clocks live in locals while the run lasts and are
+  // written back to its HotRow and accounting at the exit.
+  //
   // Bit-identity: every float below replays the uncompressed engine's
   // arithmetic expression-for-expression in the same order (arm()'s delta
-  // space, first-candidate-wins ties, sync_clock's elapsed guard), and the
-  // compressed steps touch no globally ordered state (cluster, RNG,
-  // contended devices). At exact delta ties the kill/priority wake must
-  // win, as in arm() — hence every strict inequality.
+  // space, first-candidate-wins ties, sync_clock's elapsed guard, the
+  // per-step checkpoint-cost sum), and the compressed steps touch no
+  // globally ordered state (cluster, RNG, contended devices). At exact
+  // delta ties the kill/priority wake must win, as in arm() — hence every
+  // strict inequality.
   storage::StorageBackend* backend = tasks_.backend[task_idx];
   const bool pure = backend->begin_is_pure();
-  const bool needs_end_event = backend->completion_affects_pricing();
   const std::size_t host =
       cluster_.vm(static_cast<VmId>(tasks_.vm[task_idx])).host();
+  HotRow& hot = tasks_.hot[task_idx];
   TaskAccounting& acct = tasks_.acct[task_idx];
+  core::CheckpointController& controller = *tasks_.controller[task_idx];
   const bool traced = tracing();
   double vt = engine_.now();
 
+  if (traced) trace_end_span(task_idx, vt);  // the "run" span so far
+  const storage::CheckpointTicket ticket =
+      backend->begin_priced(tasks_.ckpt_price[task_idx], host);
+  // The device stays busy for the full operation time, independently of
+  // the task's fate (a killed task's half-written checkpoint still occupied
+  // the server). Devices whose pricing never reads op state skip the
+  // completion event: it could not influence any result. (Only such devices
+  // ever replay past engine_.now(): contended ones are not pure, so their
+  // first iteration is also their last.)
+  if (backend->completion_affects_pricing()) {
+    const std::uint64_t op = ticket.op_id;
+    engine_.schedule_in(ticket.op_time,
+                        [backend, op] { backend->end_checkpoint(op); });
+  } else {
+    backend->end_checkpoint(ticket.op_id);
+  }
+
+  const double cost = ticket.cost;
+  const double length = tasks_.length_s[task_idx];
+  const bool has_kill = hot.next_failure_date_s != kInf;
+  const double kill_at = hot.next_failure_date_s;
+  const bool has_prio = (hot.flags & TaskTable::kPriorityChangePending) != 0;
+  const double prio_at =
+      has_prio ? tasks_.rec[task_idx]->priority_change_time : kInf;
+  double active = hot.active_s;
+  double progress = hot.progress_s;
+  double saved = hot.saved_s;
+  double last_sync = hot.last_sync_s;
+  double checkpoint_cost = acct.checkpoint_cost_s;
+  double phase_end = hot.phase_end_active;
+  std::uint64_t begun = 0;  // checkpoints started by this run
+  std::uint64_t done = 0;   // of those, completed inline
+
+  // Writes the run's state back; `phase` is the phase it leaves the task in.
+  auto write_back = [&](TaskPhase phase) {
+    hot.active_s = active;
+    hot.progress_s = progress;
+    hot.saved_s = saved;
+    hot.last_sync_s = last_sync;
+    hot.ckpt_progress_s = progress;  // a checkpoint never accrues progress
+    hot.phase_end_active = phase_end;
+    hot.phase = phase;
+    acct.checkpoint_cost_s = checkpoint_cost;
+    acct.checkpoints += static_cast<std::uint32_t>(begun);
+    tally_.ckpt_compressed += done;
+    if (begun > 1) backend->note_ops(begun - 1, host);
+  };
+
   while (true) {
     // -- the due transition (begin the write) -------------------------------
-    if (traced) trace_end_span(task_idx, vt);  // the "run" span so far
-    const auto ticket =
-        backend->begin_priced(tasks_.ckpt_price[task_idx], host);
-    ++acct.checkpoints;
-    acct.checkpoint_cost_s += ticket.cost;
-    tasks_.hot[task_idx].ckpt_progress_s = tasks_.hot[task_idx].progress_s;
-    tasks_.hot[task_idx].phase = TaskPhase::kCheckpointing;
-    if (traced) trace_begin_span(task_idx, vt, false);
-    tasks_.hot[task_idx].phase_end_active =
-        tasks_.hot[task_idx].active_s + ticket.cost;
-
-    // The device stays busy for the full operation time, independently of
-    // the task's fate (a killed task's half-written checkpoint still
-    // occupied the server). Devices whose pricing never reads op state skip
-    // the completion event: it could not influence any result. (Only such
-    // devices ever reach this line with vt beyond engine_.now(): contended
-    // ones are not pure, so their first iteration is also their last.)
-    if (needs_end_event) {
-      const std::uint64_t op = ticket.op_id;
-      engine_.schedule_in(ticket.op_time,
-                          [backend, op] { backend->end_checkpoint(op); });
-    } else {
-      backend->end_checkpoint(ticket.op_id);
+    if (traced && begun > 0) trace_end_span(task_idx, vt);  // the "run" span
+    ++begun;
+    checkpoint_cost += cost;
+    if (traced) {
+      hot.phase = TaskPhase::kCheckpointing;
+      trace_begin_span(task_idx, vt, false);
     }
+    phase_end = active + cost;
 
     // -- can the write complete uninterrupted? ------------------------------
-    const double active0 = tasks_.hot[task_idx].active_s;
-    const double done_delta = tasks_.hot[task_idx].phase_end_active - active0;
-    const double kill_delta =
-        tasks_.hot[task_idx].next_failure_date_s != kInf
-            ? tasks_.hot[task_idx].next_failure_date_s - active0
-            : kInf;
-    const double prio_delta =
-        (tasks_.hot[task_idx].flags & TaskTable::kPriorityChangePending)
-            ? tasks_.rec[task_idx]->priority_change_time - active0
-            : kInf;
+    const double active0 = active;
+    const double done_delta = phase_end - active0;
+    const double kill_delta = has_kill ? kill_at - active0 : kInf;
+    const double prio_delta = has_prio ? prio_at - active0 : kInf;
     if (!(done_delta < kill_delta && done_delta < prio_delta)) {
       ++tally_.ckpt_evented;
+      write_back(TaskPhase::kCheckpointing);
       arm_from(task_idx, vt);
       return;
     }
@@ -919,18 +954,20 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
     const double delta0 = std::max(0.0, done_delta);
     const double done_time = vt + delta0;         // the done wake's timestamp
     const double elapsed = done_time - vt;        // sync_clock at that wake
-    if (elapsed > 0.0) tasks_.hot[task_idx].active_s = active0 + elapsed;
-    tasks_.hot[task_idx].last_sync_s = done_time;
-    tasks_.hot[task_idx].saved_s = tasks_.hot[task_idx].ckpt_progress_s;
-    tasks_.controller[task_idx]->on_checkpoint(tasks_.hot[task_idx].saved_s);
-    ++tally_.ckpt_compressed;
-    if (traced) trace_end_span(task_idx, done_time);  // the "ckpt" span
-    tasks_.hot[task_idx].phase = TaskPhase::kExecuting;
-    if (traced) trace_begin_span(task_idx, done_time, false);
+    if (elapsed > 0.0) active = active0 + elapsed;
+    last_sync = done_time;
+    saved = progress;
+    controller.on_checkpoint(saved);
+    ++done;
+    if (traced) {
+      trace_end_span(task_idx, done_time);  // the "ckpt" span
+      hot.phase = TaskPhase::kExecuting;
+      trace_begin_span(task_idx, done_time, false);
+    }
     vt = done_time;
 
     // -- the post-checkpoint arm, against the virtual state -----------------
-    const double active1 = tasks_.hot[task_idx].active_s;
+    const double active1 = active;
     double best_delta = kInf;
     Wakeup best = Wakeup::kComplete;
     auto consider = [&](double delta, Wakeup kind) {
@@ -939,22 +976,15 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
         best = kind;
       }
     };
-    if (tasks_.hot[task_idx].next_failure_date_s != kInf) {
-      consider(tasks_.hot[task_idx].next_failure_date_s - active1,
-               Wakeup::kKill);
-    }
-    if (tasks_.hot[task_idx].flags & TaskTable::kPriorityChangePending) {
-      consider(tasks_.rec[task_idx]->priority_change_time - active1,
-               Wakeup::kPriorityChange);
-    }
-    const double progress = tasks_.hot[task_idx].progress_s;
-    consider(tasks_.length_s[task_idx] - progress, Wakeup::kComplete);
-    const auto next_ckpt =
-        tasks_.controller[task_idx]->work_until_next_checkpoint(progress);
+    if (has_kill) consider(kill_at - active1, Wakeup::kKill);
+    if (has_prio) consider(prio_at - active1, Wakeup::kPriorityChange);
+    consider(length - progress, Wakeup::kComplete);
+    const auto next_ckpt = controller.work_until_next_checkpoint(progress);
     if (next_ckpt) consider(*next_ckpt, Wakeup::kCheckpointDue);
 
     best_delta = std::max(0.0, best_delta);
     if (best != Wakeup::kCheckpointDue || !pure) {
+      write_back(TaskPhase::kExecuting);
       const auto idx = static_cast<std::uint32_t>(task_idx);
       const Wakeup kind = best;
       tasks_.pending_event[task_idx] = engine_.schedule_at(
@@ -966,10 +996,10 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
     const double due_time = vt + best_delta;      // the due wake's timestamp
     const double run = due_time - vt;             // sync_clock at that wake
     if (run > 0.0) {
-      tasks_.hot[task_idx].active_s = active1 + run;
-      tasks_.hot[task_idx].progress_s = progress + run;  // kExecuting accrues
+      active = active1 + run;
+      progress = progress + run;  // kExecuting accrues
     }
-    tasks_.hot[task_idx].last_sync_s = due_time;
+    last_sync = due_time;
     vt = due_time;
   }
 }

@@ -17,6 +17,11 @@ double StorageBackend::restart_cost(double mem_mb) const {
   return storage::restart_cost(kind(), mem_mb);
 }
 
+void StorageBackend::note_ops(std::uint64_t /*n*/, std::size_t /*host_id*/) {
+  throw std::logic_error("StorageBackend::note_ops: ops on this device "
+                         "contend, so they cannot be booked in bulk");
+}
+
 // --------------------------------------------------------- LocalRamdiskBackend
 
 LocalRamdiskBackend::LocalRamdiskBackend(stats::Rng* rng, double noise)
@@ -39,6 +44,10 @@ CheckpointTicket LocalRamdiskBackend::begin_priced(const CheckpointPrice& base,
 
 void LocalRamdiskBackend::end_checkpoint(std::uint64_t op_id) {
   ops_.end(op_id);
+}
+
+void LocalRamdiskBackend::note_ops(std::uint64_t n, std::size_t host_id) {
+  ops_.note_ops(n, static_cast<std::uint32_t>(host_id));
 }
 
 void LocalRamdiskBackend::capture_state(BackendState& out) const {

@@ -85,6 +85,16 @@ class OpSlab {
     return payload;
   }
 
+  /// Leaves the slab exactly as `n` begin(payload)/end pairs in a row
+  /// would, in O(1): one slot cycles through the free list, its generation
+  /// advances by n, and the high-water mark rises as by one begin.
+  void note_ops(std::uint64_t n, std::uint32_t payload) {
+    if (n == 0) return;
+    const std::uint64_t id = begin(payload);
+    end(id);
+    slots_[id >> 32].gen += static_cast<std::uint32_t>(n - 1);
+  }
+
   [[nodiscard]] std::size_t active() const noexcept { return live_; }
 
   /// Most ops ever live at once (observability high-water mark).
@@ -146,10 +156,18 @@ class StorageBackend {
   }
 
   /// True when begin_priced is a pure function of its arguments: no
-  /// contention state and no RNG draws. A replay may then price future ops
-  /// on this device ahead of simulated time (checkpoint-run compression)
-  /// without reordering anything observable.
+  /// contention state and no RNG draws (so completion never affects pricing
+  /// either). A replay may then price future ops on this device ahead of
+  /// simulated time (checkpoint-run compression) without reordering
+  /// anything observable.
   [[nodiscard]] virtual bool begin_is_pure() const noexcept { return false; }
+
+  /// Books `n` ops from `host_id` that began and ended back to back,
+  /// leaving the op bookkeeping exactly as `n` begin_priced/end_checkpoint
+  /// pairs would. On a pure device every op of a checkpoint run prices the
+  /// same, so the replay prices the run's first op and hands the rest to
+  /// this one call. Devices whose ops contend throw std::logic_error.
+  virtual void note_ops(std::uint64_t n, std::size_t host_id);
 
   /// Cost of restarting a `mem_mb` task from this device's checkpoints.
   [[nodiscard]] virtual double restart_cost(double mem_mb) const;
@@ -195,6 +213,7 @@ class LocalRamdiskBackend final : public StorageBackend {
     return noise_ <= 0.0 || rng_ == nullptr;  // no contention; rng only
                                               // when noise is enabled
   }
+  void note_ops(std::uint64_t n, std::size_t host_id) override;
   [[nodiscard]] std::size_t active_ops() const noexcept override {
     return ops_.active();
   }

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
+
+#include "stats/rng.hpp"
 
 namespace cloudcr::core {
 namespace {
@@ -168,6 +174,128 @@ TEST(Controller, AdaptiveReplanUsesRemainingWork) {
   // closed form keeps interval = sqrt(2 C Te/mnof) ~ w0 (MNOF per full task
   // unchanged up to epsilon).
   EXPECT_NEAR(ctl.current_interval(), w0, 0.05 * w0);
+}
+
+/// Plans a fixed fraction of the remaining work per interval, so every
+/// re-plan moves the interval.
+class RemainingFractionPolicy final : public CheckpointPolicy {
+ public:
+  explicit RemainingFractionPolicy(double fraction) : fraction_(fraction) {}
+  [[nodiscard]] std::string name() const override { return "fraction"; }
+  [[nodiscard]] double next_interval(const PolicyContext& ctx) const override {
+    return ctx.remaining_work_s * fraction_;
+  }
+
+ private:
+  double fraction_;
+};
+
+/// work_until_next_checkpoint's general formula, restated: the next
+/// multiple of the interval after the anchor strictly ahead of `progress`.
+std::optional<double> floor_formula(double progress, double anchor,
+                                    double interval, double total) {
+  if (progress >= total) return std::nullopt;
+  if (interval <= 0.0) return std::nullopt;
+  const double k = std::floor((progress - anchor) / interval + 1e-12) + 1.0;
+  const double next = anchor + k * interval;
+  if (next >= total - 1e-9) return std::nullopt;
+  return next - progress;
+}
+
+bool same_bits(const std::optional<double>& a,
+               const std::optional<double>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || std::memcmp(&*a, &*b, sizeof(double)) == 0;
+}
+
+TEST(Controller, BoundaryAtTheAnchorEqualsTheFloorFormula) {
+  // At progress == anchor the controller skips the division; the answer
+  // must still be the floor formula's, bit for bit, including whether the
+  // end-of-task test fires when the boundary lands within 1e-9 of the end.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tiny[] = {5e-324, 1e-300, 1e-15, 1e-12, 1e-9};
+  stats::Rng rng(31337);
+  int ends = 0;
+  int boundaries = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    double interval;
+    switch (trial % 5) {
+      case 0:
+        interval = tiny[rng.uniform_index(5)];
+        break;
+      case 1:
+        interval = kInf;
+        break;
+      default:
+        interval = std::exp(rng.uniform(std::log(1e-6), std::log(1e6)));
+    }
+    const double anchor = trial % 7 == 0 ? 0.0 : rng.uniform(0.0, 1e6);
+    double total;
+    if (std::isfinite(anchor + interval)) {
+      // Put the end-of-task threshold total - 1e-9 right at the boundary:
+      // a few ulps either side, or up to 2e-9 either side.
+      total = anchor + interval + 1e-9;
+      if (trial % 2 == 0) {
+        for (auto steps = rng.uniform_index(9); steps > 0; --steps) {
+          total = std::nextafter(total, trial % 4 == 0 ? kInf : 0.0);
+        }
+      } else {
+        total += rng.uniform(-2e-9, 2e-9);
+      }
+    } else {
+      total = anchor + rng.uniform(1.0, 1e6);
+    }
+    if (!(total > 0.0)) continue;
+
+    const FixedIntervalPolicy policy(interval);
+    CheckpointController ctl(policy, total, 160.0, FailureStats{2.0, 200.0},
+                             AdaptationMode::kAdaptive);
+    ASSERT_EQ(ctl.current_interval(), interval);
+    ctl.on_checkpoint(anchor);
+    ASSERT_EQ(ctl.replan_count(), 0);
+    const auto got = ctl.work_until_next_checkpoint(anchor);
+    const auto want = floor_formula(anchor, anchor, interval, total);
+    ASSERT_TRUE(same_bits(got, want))
+        << "trial " << trial << " anchor " << anchor << " interval "
+        << interval << " total " << total;
+    (got ? boundaries : ends) += 1;
+  }
+  // Both outcomes of the end-of-task test were exercised.
+  EXPECT_GT(ends, 1000);
+  EXPECT_GT(boundaries, 1000);
+}
+
+TEST(Controller, ReplanOnCheckpointLandsOnTheFloorFormula) {
+  // on_checkpoint re-plans when the stats in force differ from the planned
+  // ones. Adaptive update_stats re-plans at once, so only stats that never
+  // compare equal to themselves (a NaN MTBF) reach that branch: every
+  // checkpoint then re-plans, anchored on its own progress.
+  const RemainingFractionPolicy policy(0.3);
+  const double total = 1000.0;
+  CheckpointController ctl(
+      policy, total, 160.0,
+      FailureStats{2.0, std::numeric_limits<double>::quiet_NaN()},
+      AdaptationMode::kAdaptive);
+  stats::Rng rng(7);
+  double progress = 0.0;
+  int replans = 0;
+  while (true) {
+    const auto next = ctl.work_until_next_checkpoint(progress);
+    ASSERT_TRUE(same_bits(next, floor_formula(progress, progress,
+                                              ctl.current_interval(), total)));
+    if (!next) break;
+    // Off the anchor the general formula answers; it must agree too.
+    const double mid = progress + rng.uniform(0.0, 1.0) * *next;
+    ASSERT_TRUE(same_bits(
+        ctl.work_until_next_checkpoint(mid),
+        floor_formula(mid, progress, ctl.current_interval(), total)));
+    progress += *next;
+    ctl.on_checkpoint(progress);
+    ++replans;
+    EXPECT_EQ(ctl.replan_count(), replans);
+    EXPECT_EQ(ctl.current_interval(), (total - progress) * 0.3);
+  }
+  EXPECT_GT(replans, 10);
 }
 
 }  // namespace

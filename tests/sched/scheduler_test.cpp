@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "api/registry.hpp"
+#include "backfill_oracle.hpp"
 #include "sched/policies.hpp"
 #include "sched/registry.hpp"
 #include "sim/predictors.hpp"
 #include "sim/simulation.hpp"
+#include "stats/rng.hpp"
 
 namespace cloudcr::sched {
 namespace {
@@ -153,6 +157,51 @@ TEST(ConservativeBackfill, ReleasesEverythingOnAnIdleCluster) {
                {pending(0, 40.0, 10.0), pending(1, 60.0, 10.0)}, {}, out);
   ASSERT_EQ(out.release.size(), 2u);
   EXPECT_FALSE(std::isfinite(out.wake_at_s) && out.wake_at_s > 0.0);
+}
+
+TEST(ConservativeBackfill, DecisionsEqualTheCubicOracle) {
+  // Random queues and running sets against the direct statement of the
+  // profile (tests/sched/backfill_oracle.hpp). Whole-second instants and
+  // coarse demands make instants coincide, so many profile events share an
+  // instant; fractional demands make the availability sums round. Overdue
+  // and unbounded estimates exercise the clamped and infinite instants.
+  const SchedulerPtr cons = make_conservative_backfill();
+  stats::Rng rng(20131117);
+  auto draw = [&](double lo, double hi, bool coarse) {
+    const double x = rng.uniform(lo, hi);
+    return coarse ? std::floor(x) : x;
+  };
+  for (int trial = 0; trial < 1000; ++trial) {
+    const bool coarse = trial % 2 == 0;
+    const double now = draw(0.0, 50.0, coarse);
+    std::vector<RunningJob> run;
+    const auto n_run = rng.uniform_index(12);
+    for (std::uint32_t i = 0; i < n_run; ++i) {
+      run.push_back(running(100 + i, draw(1.0, 60.0, coarse),
+                            draw(now - 20.0, now + 200.0, coarse)));
+    }
+    std::vector<PendingJob> queue;
+    const auto n_queue = 1 + rng.uniform_index(16);
+    for (std::uint32_t i = 0; i < n_queue; ++i) {
+      double estimate = draw(1.0, 150.0, coarse);
+      if (rng.uniform_index(25) == 0) {
+        estimate = std::numeric_limits<double>::infinity();
+      }
+      queue.push_back(pending(i, draw(1.0, 90.0, coarse), estimate));
+    }
+    const ResourceView v = view(now, draw(0.0, 100.0, coarse));
+
+    Decision got;
+    cons->decide(v, queue, run, got);
+    Decision want;
+    oracle::conservative_decide(v, queue, run, want);
+    EXPECT_EQ(got.release, want.release) << "trial " << trial;
+    EXPECT_TRUE(got.evict.empty());
+    EXPECT_EQ(std::memcmp(&got.wake_at_s, &want.wake_at_s, sizeof(double)),
+              0)
+        << "trial " << trial << ": " << got.wake_at_s << " vs "
+        << want.wake_at_s;
+  }
 }
 
 TEST(Preempt, EvictsStrictlyLowerPriorityLatestFirst) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "obs/trace_writer.hpp"
 #include "sim/predictors.hpp"
 #include "trace/generator.hpp"
@@ -353,6 +355,35 @@ TEST(Simulation, PlacementModesChangeDeviceCosts) {
   // type B (1.45 s).
   EXPECT_NEAR(rl.outcomes.front().restart_s, 3.22, 1e-6);
   EXPECT_NEAR(rs.outcomes.front().restart_s, 1.45, 1e-6);
+}
+
+TEST(Simulation, CheckpointRunCompressionStaysEngaged) {
+  // One failure-free task checkpointing to the local ramdisk is one
+  // checkpoint run: its checkpoints replay inline, so the events the
+  // engine pops must not grow with the checkpoint count. Golden bytes are
+  // the same whether or not the run is compressed; this is what shows a
+  // fall-back to one event per checkpoint.
+  const core::FixedIntervalPolicy policy(1.0);
+  SimConfig cfg = default_config();
+  cfg.placement = PlacementMode::kForceLocal;
+  std::size_t events = 0;
+  for (const std::uint32_t n : {1000u, 4000u, 10000u}) {
+    SCOPED_TRACE("checkpoints=" + std::to_string(n));
+    // Checkpoints at 1, 2, ..., n s of work; the end comes half an
+    // interval after the last.
+    auto trace = one_job(JobStructure::kSequentialTasks,
+                         {make_task(n + 0.5, 160.0, 2)});
+    trace.horizon_s = 1e6;
+    const auto res =
+        replay(Simulation(cfg, policy, fixed_stats(1.0, 200.0)), trace);
+    ASSERT_EQ(res.outcomes.size(), 1u);
+    EXPECT_EQ(res.incomplete_jobs, 0u);
+    EXPECT_EQ(res.outcomes.front().checkpoints, n);
+    EXPECT_EQ(res.outcomes.front().failures, 0u);
+    if (events == 0) events = res.events_dispatched;
+    EXPECT_EQ(res.events_dispatched, events);
+  }
+  EXPECT_LT(events, 10u);
 }
 
 TEST(Simulation, DeterministicAcrossRuns) {

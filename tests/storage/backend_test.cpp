@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace cloudcr::storage {
@@ -139,6 +142,72 @@ TEST(Backend, MigrationTypeDerivedFromKind) {
             MigrationType::kA);
   EXPECT_EQ(make_backend(DeviceKind::kDmNfs, rng)->migration_type(),
             MigrationType::kB);
+}
+
+TEST(OpSlab, NoteOpsEqualsBeginEndPairs) {
+  // note_ops(n) must leave the slab exactly as n begin/end pairs in a row:
+  // observed through the live count, the high-water mark, the ids the next
+  // begins hand out, and the ids of ops that were live before.
+  struct Setup {
+    const char* name;
+    OpSlab slab;
+    std::vector<std::uint64_t> live;
+  };
+  std::vector<Setup> setups;
+  setups.push_back({"empty", {}, {}});
+  {
+    // Three live ops and a two-slot free list (slots ended out of order).
+    Setup busy{"busy", {}, {}};
+    std::vector<std::uint64_t> ids;
+    for (std::uint32_t i = 0; i < 5; ++i) ids.push_back(busy.slab.begin(i));
+    busy.slab.end(ids[3]);
+    busy.slab.end(ids[1]);
+    busy.live = {ids[0], ids[2], ids[4]};
+    setups.push_back(busy);
+  }
+  for (const Setup& setup : setups) {
+    for (const std::uint64_t n : {0ull, 1ull, 1000ull}) {
+      SCOPED_TRACE(std::string(setup.name) + " n=" + std::to_string(n));
+      OpSlab pairs = setup.slab;
+      for (std::uint64_t i = 0; i < n; ++i) pairs.end(pairs.begin(7));
+      OpSlab bulk = setup.slab;
+      bulk.note_ops(n, 7);
+
+      EXPECT_EQ(bulk.active(), pairs.active());
+      EXPECT_EQ(bulk.high_water(), pairs.high_water());
+      const std::uint64_t next_bulk = bulk.begin(8);
+      const std::uint64_t next_pairs = pairs.begin(8);
+      EXPECT_EQ(next_bulk, next_pairs);
+      EXPECT_EQ(bulk.begin(9), pairs.begin(9));  // the free list behind it
+      EXPECT_EQ(bulk.high_water(), pairs.high_water());
+      for (const std::uint64_t id : setup.live) {
+        EXPECT_EQ(bulk.end(id), pairs.end(id));
+      }
+      EXPECT_EQ(bulk.end(next_bulk), pairs.end(next_pairs));
+      EXPECT_EQ(bulk.active(), pairs.active());
+    }
+  }
+}
+
+TEST(Backend, NoteOpsOnlyOnTheLocalRamdisk) {
+  // The local ramdisk books n ops like n begin/end pairs; devices whose
+  // ops contend refuse bulk booking.
+  LocalRamdiskBackend bulk;
+  LocalRamdiskBackend pairs;
+  bulk.note_ops(25, 3);
+  for (int i = 0; i < 25; ++i) {
+    pairs.end_checkpoint(pairs.begin_checkpoint(160.0, 3).op_id);
+  }
+  EXPECT_EQ(bulk.active_ops(), 0u);
+  EXPECT_EQ(bulk.ops_high_water(), pairs.ops_high_water());
+  EXPECT_EQ(bulk.begin_checkpoint(160.0, 3).op_id,
+            pairs.begin_checkpoint(160.0, 3).op_id);
+
+  stats::Rng rng(5);
+  SharedNfsBackend nfs;
+  EXPECT_THROW(nfs.note_ops(2, 0), std::logic_error);
+  DmNfsBackend dm(4, rng);
+  EXPECT_THROW(dm.note_ops(2, 0), std::logic_error);
 }
 
 }  // namespace
