@@ -1,31 +1,9 @@
 #pragma once
 
 /// \file bench_args.hpp
-/// \brief Shared CLI flags for the hand-rolled bench binaries (the
-/// ablations; the paper's figures and tables run through repro_report,
-/// which takes the same trace and obs flags).
-///
-/// Every such bench accepts the same overrides instead of per-binary
-/// constants:
-///   --seed N        trace seed
-///   --horizon S     trace horizon in seconds
-///   --jobs N        cap on generated jobs (0 = unlimited)
-///   --trace SPEC    trace source ("synthetic", "csv:<path>",
-///                   "google:<path>"); replays an ingested workload instead
-///                   of the synthetic generator
-///   --threads N     BatchRunner worker threads (0 = hardware)
-///   --json PATH     export RunArtifacts as JSON
-///   --csv PATH      export RunArtifact summary rows as CSV
-///   --stats         collect + print the obs counter registry
-///   --probe-interval S  sample a time-series probe every S simulated
-///                   seconds into each artifact
-///   --trace-out PATH  write a Chrome trace-event JSON per scenario
-///                   ("{name}" expands to the scenario name)
-///   -h / --help     usage
-///
-/// Flags the binary does not consult are still parsed (so `--threads 8`
-/// never errors); each bench applies the subset that makes sense via the
-/// apply()/ *_or() helpers.
+/// \brief repro_report's CLI helpers: checked flag values, the trace-input
+/// overrides (--seed/--horizon/--jobs/--trace), and the artifact exports
+/// (--artifacts-json/--artifacts-csv).
 
 #include <cstdint>
 #include <cstdlib>
@@ -38,7 +16,6 @@
 #include "api/artifact_io.hpp"
 #include "api/scenario.hpp"
 #include "ingest/registry.hpp"
-#include "obs/stats.hpp"
 
 namespace cloudcr::bench {
 
@@ -73,8 +50,7 @@ inline double double_flag(int argc, char** argv, int& i) {
   }
 }
 
-/// The trace-input overrides (--seed/--horizon/--jobs/--trace), shared by
-/// the ablations and repro_report.
+/// The trace-input overrides (--seed/--horizon/--jobs/--trace).
 struct TraceOverrides {
   std::optional<std::uint64_t> seed;
   std::optional<double> horizon_s;
@@ -148,88 +124,5 @@ struct TraceOverrides {
   }
   return ok;
 }
-
-struct BenchArgs {
-  TraceOverrides trace;
-  std::optional<std::size_t> threads;
-  std::string json_path;
-  std::string csv_path;
-
-  // Observability (all off by default; purely additive to results).
-  bool stats = false;
-  double probe_interval_s = 0.0;
-  std::string trace_out;
-
-  [[nodiscard]] std::size_t threads_or(std::size_t fallback) const {
-    return threads.value_or(fallback);
-  }
-
-  /// Lowers the obs flags into a scenario's ObsSpec (additive: fields the
-  /// flags don't cover keep whatever the spec already carried).
-  void apply_obs(api::ScenarioSpec& spec) const {
-    if (stats) spec.obs.stats = true;
-    if (probe_interval_s > 0.0) spec.obs.probe_interval_s = probe_interval_s;
-    if (!trace_out.empty()) spec.obs.trace_path = trace_out;
-  }
-
-  [[nodiscard]] bool obs_enabled() const {
-    return stats || probe_interval_s > 0.0 || !trace_out.empty();
-  }
-
-  /// Prints the merged counter registry to stderr when --stats was given
-  /// (text form, timers included).
-  void print_stats() const {
-    if (!stats) return;
-    std::cerr << "# obs stats (merged registry):\n";
-    obs::write_stats_text(std::cerr);
-  }
-
-  /// Parses argv; prints usage and exits on -h/--help or malformed input.
-  /// Benches that produce no RunArtifacts pass `exports = false`: --json and
-  /// --csv are then rejected (instead of silently dropped) and left out of
-  /// the usage text.
-  static BenchArgs parse(int argc, char** argv, bool exports = true) {
-    BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      if (flag == "-h" || flag == "--help") {
-        std::cout << "usage: " << argv[0]
-                  << " [--seed N] [--horizon S] [--jobs N] [--trace SPEC]"
-                  << " [--threads N]"
-                  << (exports ? " [--json PATH] [--csv PATH]" : "")
-                  << " [--stats] [--probe-interval S] [--trace-out PATH]"
-                  << "\n";
-        std::exit(0);
-      } else if ((flag == "--json" || flag == "--csv") && !exports) {
-        std::cerr << argv[0] << ": " << flag
-                  << " is not supported (this bench produces no artifacts)\n";
-        std::exit(2);
-      } else if (args.trace.parse_flag(argc, argv, i)) {
-        continue;
-      } else if (flag == "--threads") {
-        args.threads = static_cast<std::size_t>(u64_flag(argc, argv, i));
-      } else if (flag == "--json") {
-        args.json_path = flag_value(argc, argv, i);
-      } else if (flag == "--csv") {
-        args.csv_path = flag_value(argc, argv, i);
-      } else if (flag == "--stats") {
-        args.stats = true;
-      } else if (flag == "--probe-interval") {
-        args.probe_interval_s = double_flag(argc, argv, i);
-        if (!(args.probe_interval_s > 0.0)) {
-          std::cerr << argv[0] << ": --probe-interval must be > 0\n";
-          std::exit(2);
-        }
-      } else if (flag == "--trace-out") {
-        args.trace_out = flag_value(argc, argv, i);
-      } else {
-        std::cerr << argv[0] << ": unknown flag '" << flag
-                  << "' (try --help)\n";
-        std::exit(2);
-      }
-    }
-    return args;
-  }
-};
 
 }  // namespace cloudcr::bench

@@ -8,8 +8,9 @@
 //
 // Usage:
 //   repro_report --list                      enumerate the registry
-//   repro_report                             run everything + gate
-//   repro_report --only fig09,tab02          run a subset
+//   repro_report                             run every paper entry + gate
+//   repro_report --only fig09,tab02          run a subset (the only way to
+//                                            run the abl01/abl02 ablations)
 //   repro_report --fast                      the cheap CI subset
 //   repro_report --md OUT.md --json OUT.json write the report artifacts
 //   repro_report --expected FILE.json        expected doc (default: the
@@ -94,7 +95,8 @@ int list_experiments() {
               "title");
   for (const auto& e : registry.entries()) {
     std::printf("%-8s %-10s %-5s %-9zu %s\n", e.id.c_str(),
-                e.paper_ref.c_str(), e.fast ? "yes" : "", e.specs.size(),
+                e.paper_ref.c_str(),
+                e.on_request ? "req" : (e.fast ? "yes" : ""), e.specs.size(),
                 e.title.c_str());
   }
   return 0;

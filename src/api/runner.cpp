@@ -122,16 +122,38 @@ RunArtifact PreparedRun::resume(const sim::SimSnapshot& snapshot,
 }
 
 void PreparedRun::prepare(SharedTraceCursor* cursor, RunArtifact& artifact) {
+  sim::SimConfig config = to_sim_config(spec_);
+  predict::LengthModel& length = config.length_model;
+  // A learning length model trains in the estimation pass, on the same
+  // rows (in the same order) as the failure-statistics builder.
+  const auto no_estimation_pass = [&](const std::string& why) {
+    return std::invalid_argument("scenario key 'length' = '" + spec_.length +
+                                 "' trains on the estimation view, but " +
+                                 why);
+  };
   sim::StatsPredictor predictor = hooks_.predictor_override;
+  if (predictor && length.learns()) {
+    throw no_estimation_pass("a predictor override skips estimation");
+  }
   if (!predictor) {
     const auto est_start = std::chrono::steady_clock::now();
     PredictorBuilderPtr builder =
         with_key_context("predictor", spec_.predictor, [&] {
           return PredictorRegistry::instance().make_builder(spec_.predictor);
         });
+    if (length.learns() && !builder->wants_observations()) {
+      throw no_estimation_pass("scenario key 'predictor' = '" +
+                               spec_.predictor + "' has none");
+    }
     if (builder->wants_observations()) {
-      const auto observe = [&builder](const trace::JobRecord& job) {
+      const auto observe = [&](const trace::JobRecord& job) {
         builder->observe_job(job);
+        if (length.learns()) {
+          for (const auto& task : job.tasks) length.observe(task);
+        }
+      };
+      const auto observe_all = [&](const trace::Trace& trace) {
+        for (const auto& job : trace.jobs) observe(job);
       };
       // A pass of its own over `spec`'s view (the history trace, or the
       // full view of a caller-materialized replay set).
@@ -142,20 +164,21 @@ void PreparedRun::prepare(SharedTraceCursor* cursor, RunArtifact& artifact) {
         artifact.rows_read += pass.rows_read();
       };
       if (hooks_.estimation_trace != nullptr) {
-        observe_trace(*builder, *hooks_.estimation_trace);
+        observe_all(*hooks_.estimation_trace);
       } else if (spec_.estimation == EstimationSource::kHistory) {
         observe_pass(spec_.history, /*replay_view=*/true);
       } else if (cursor != nullptr) {
         cursor->feed_estimation(
             spec_.estimation == EstimationSource::kReplay, observe);
       } else if (spec_.estimation == EstimationSource::kReplay) {
-        observe_trace(*builder, *hooks_.replay_trace);
+        observe_all(*hooks_.replay_trace);
       } else {
         observe_pass(spec_.trace, /*replay_view=*/false);
       }
     }
     predictor = with_key_context("predictor", spec_.predictor,
                                  [&] { return builder->finalize(); });
+    with_key_context("length", spec_.length, [&] { length.finalize(); });
     const auto est_end = std::chrono::steady_clock::now();
     artifact.estimation_wall_s =
         std::chrono::duration<double>(est_end - est_start).count();
@@ -167,8 +190,6 @@ void PreparedRun::prepare(SharedTraceCursor* cursor, RunArtifact& artifact) {
   scheduler_ = with_key_context("sched", spec_.sched, [&] {
     return sched::SchedulerRegistry::instance().make(spec_.sched);
   });
-  sim::SimConfig config = to_sim_config(spec_);
-  config.length_predictor = hooks_.length_predictor;
   config.scheduler = scheduler_.get();
   config.tracer = tracer_.get();
   simulation_.emplace(std::move(config), *policy_, std::move(predictor),

@@ -11,8 +11,8 @@
 ///
 /// Everything a run needs is in the spec; RunHooks exists for the few
 /// experiment shapes that are genuinely not serializable (a hand-crafted
-/// story trace, a custom failure-history lambda, a workload-length
-/// predictor) and for batch-level trace sharing.
+/// story trace, a custom failure-history lambda) and for batch-level trace
+/// sharing.
 
 #include <cstddef>
 #include <functional>
@@ -79,11 +79,9 @@ struct RunHooks {
   const trace::Trace* estimation_trace = nullptr;
 
   /// Bypass the PredictorRegistry entirely (custom failure histories).
+  /// There is then no estimation pass, so a learning `length=` model
+  /// (regression, history) is rejected.
   sim::StatsPredictor predictor_override;
-
-  /// Workload-length predictor handed to the planner (SimConfig's
-  /// length_predictor hook; the ablation_prediction sweeps).
-  std::function<double(const trace::TaskRecord&)> length_predictor;
 
   /// Pooled replay buffers (task tables, event queue slab) reused across
   /// runs: a batch worker replays spec after spec with no steady-state

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "predict/workload_predictor.hpp"
 #include "trace/csv.hpp"
 
 namespace cloudcr::api {
@@ -33,6 +34,18 @@ double parse_double(const std::string& key, const std::string& value,
   return v;
 }
 
+/// Numeric key that must be > 0: a horizon, a rate, a length limit, a VM
+/// size. `allow_inf` as in parse_double.
+double parse_positive_double(const std::string& key, const std::string& value,
+                             bool allow_inf = false) {
+  const double v = parse_double(key, value, allow_inf);
+  if (!(v > 0.0)) {
+    throw std::invalid_argument("scenario key '" + key + "' = '" + value +
+                                "': must be > 0");
+  }
+  return v;
+}
+
 /// Finite, non-negative numeric key: a noise magnitude or a delay.
 double parse_nonnegative_double(const std::string& key,
                                 const std::string& value) {
@@ -46,6 +59,16 @@ double parse_nonnegative_double(const std::string& key,
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   return parse_checked_u64("scenario key '" + key + "'", value);
+}
+
+/// A count that must be >= 1 (cluster hosts, VMs per host).
+std::size_t parse_count(const std::string& key, const std::string& value) {
+  const std::uint64_t v = parse_u64(key, value);
+  if (v == 0) {
+    throw std::invalid_argument("scenario key '" + key + "' = '" + value +
+                                "': must be >= 1");
+  }
+  return static_cast<std::size_t>(v);
 }
 
 /// The serializer is line-oriented, so free-form string values (name,
@@ -117,9 +140,9 @@ bool apply_trace_key(TraceSpec& t, const std::string& key,
   } else if (field == "seed") {
     t.seed = parse_u64(key, value);
   } else if (field == "horizon_s") {
-    t.horizon_s = parse_double(key, value);
+    t.horizon_s = parse_positive_double(key, value);
   } else if (field == "arrival_rate") {
-    t.arrival_rate = parse_double(key, value);
+    t.arrival_rate = parse_positive_double(key, value);
   } else if (field == "max_jobs") {
     t.max_jobs = static_cast<std::size_t>(parse_u64(key, value));
   } else if (field == "sample_job_filter") {
@@ -129,7 +152,8 @@ bool apply_trace_key(TraceSpec& t, const std::string& key,
   } else if (field == "long_service_fraction") {
     t.long_service_fraction = parse_double(key, value);
   } else if (field == "replay_max_task_length_s") {
-    t.replay_max_task_length_s = parse_double(key, value, /*allow_inf=*/true);
+    t.replay_max_task_length_s =
+        parse_positive_double(key, value, /*allow_inf=*/true);
   } else {
     return false;
   }
@@ -244,8 +268,13 @@ std::string serialize(const ScenarioSpec& spec) {
   serialize_trace(os, "trace.", spec.trace);
   os << "policy=" << escape_string(spec.policy) << '\n'
      << "predictor=" << escape_string(spec.predictor) << '\n'
-     << "sched=" << escape_string(spec.sched) << '\n'
-     << "estimation=" << estimation_token(spec.estimation) << '\n';
+     << "sched=" << escape_string(spec.sched) << '\n';
+  // Written only off its default, so every pre-existing spec, artifact and
+  // cache key keeps its exact bytes.
+  if (spec.length != "exact") {
+    os << "length=" << escape_string(spec.length) << '\n';
+  }
+  os << "estimation=" << estimation_token(spec.estimation) << '\n';
   serialize_trace(os, "history.", spec.history);
   os << "placement=" << placement_token(spec.placement) << '\n'
      << "adaptation=" << adaptation_token(spec.adaptation) << '\n'
@@ -290,6 +319,11 @@ ScenarioSpec parse_scenario(const std::string& text) {
       spec.predictor = unescape_string(key, value);
     } else if (key == "sched") {
       spec.sched = unescape_string(key, value);
+    } else if (key == "length") {
+      spec.length = unescape_string(key, value);
+      with_key_context("length", spec.length, [&] {
+        return predict::LengthModel::parse(spec.length);
+      });
     } else if (key == "estimation") {
       spec.estimation = with_key_context(
           "estimation", value, [&] { return parse_estimation(value); });
@@ -309,12 +343,11 @@ ScenarioSpec parse_scenario(const std::string& text) {
     } else if (key == "detection_delay_s") {
       spec.detection_delay_s = parse_nonnegative_double(key, value);
     } else if (key == "cluster.hosts") {
-      spec.cluster.hosts = static_cast<std::size_t>(parse_u64(key, value));
+      spec.cluster.hosts = parse_count(key, value);
     } else if (key == "cluster.vms_per_host") {
-      spec.cluster.vms_per_host =
-          static_cast<std::size_t>(parse_u64(key, value));
+      spec.cluster.vms_per_host = parse_count(key, value);
     } else if (key == "cluster.vm_memory_mb") {
-      spec.cluster.vm_memory_mb = parse_double(key, value);
+      spec.cluster.vm_memory_mb = parse_positive_double(key, value);
     } else if (key == "obs") {
       const std::string raw = unescape_string(key, value);
       spec.obs =
@@ -339,7 +372,7 @@ bool operator==(const TraceSpec& a, const TraceSpec& b) noexcept {
 bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) noexcept {
   return a.name == b.name && a.trace == b.trace && a.policy == b.policy &&
          a.predictor == b.predictor && a.sched == b.sched &&
-         a.estimation == b.estimation &&
+         a.length == b.length && a.estimation == b.estimation &&
          a.history == b.history && a.placement == b.placement &&
          a.adaptation == b.adaptation && a.shared_device == b.shared_device &&
          a.storage_noise == b.storage_noise && a.sim_seed == b.sim_seed &&
@@ -372,6 +405,9 @@ sim::SimConfig to_sim_config(const ScenarioSpec& spec) {
   cfg.storage_noise = spec.storage_noise;
   cfg.seed = spec.sim_seed;
   cfg.detection_delay_s = spec.detection_delay_s;
+  cfg.length_model = with_key_context("length", spec.length, [&] {
+    return predict::LengthModel::parse(spec.length, spec.sim_seed);
+  });
   cfg.probe_interval_s = spec.obs.probe_interval_s;
   cfg.collect_stats = spec.obs.stats;
   return cfg;

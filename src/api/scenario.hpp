@@ -87,6 +87,12 @@ struct ScenarioSpec {
   /// "preempt:ckpt".
   std::string sched = "fcfs";
 
+  /// Workload-length model the planner and the scheduler see
+  /// (predict::LengthModel): "exact" (the default), "bias:<f>",
+  /// "noise:<sigma>", "regression", "history". The last two train on the
+  /// estimation view, so they need a predictor that reads one.
+  std::string length = "exact";
+
   EstimationSource estimation = EstimationSource::kReplay;
 
   /// Estimation trace when estimation == kHistory; ignored otherwise.
@@ -174,6 +180,10 @@ auto with_key_context(const char* key, const std::string& value, Fn&& fn) {
 //   policy=<registry key>                 formula3 | young | daly | none | fixed:<s>
 //   predictor=<registry key>              oracle | grouped[:limit] | submission[:limit]
 //   sched=<registry key>                  fcfs | backfill[:easy|:conservative] | preempt[:requeue|:ckpt]
+//   length=<length model>                 exact | bias:<f> | noise:<sigma>
+//                                         | regression | history (written
+//                                         only when not exact; f finite
+//                                         > 0, sigma finite >= 0)
 //   estimation=replay|full|history
 //   history.<same keys as trace.>         (only meaningful with estimation=history)
 //   placement=auto|local|shared           adaptation=adaptive|static
@@ -185,7 +195,10 @@ auto with_key_context(const char* key, const std::string& value, Fn&& fn) {
 //                                         stats+probe:60+trace:out.json
 //                                         (grammar in obs/spec.hpp)
 //
-// Doubles reject every NaN spelling (nan, -NAN, nan(0x1), ...). Bools
+// Doubles reject every NaN spelling (nan, -NAN, nan(0x1), ...), and every
+// key but trace/history.replay_max_task_length_s rejects ±inf. Horizons,
+// arrival rates, replay length limits and cluster.vm_memory_mb must be
+// > 0, cluster.hosts and cluster.vms_per_host >= 1. Bools
 // serialize as true/false (parse also accepts 1/0). Unlisted keys
 // keep their defaults on parse; unknown keys throw — so an artifact from a
 // newer schema fails loudly instead of silently dropping a field.
@@ -215,9 +228,9 @@ inline bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) noexcept {
 /// length restriction is applied separately by api::make_replay_trace).
 trace::GeneratorConfig to_generator_config(const TraceSpec& spec);
 
-/// SimConfig carrying every scenario field the simulator consumes (the
-/// length-predictor hook, which is not serializable, is supplied at run time
-/// through api::RunHooks).
+/// SimConfig carrying every scenario field the simulator consumes. A
+/// learning `length=` model comes back untrained: the runner feeds it the
+/// estimation view.
 sim::SimConfig to_sim_config(const ScenarioSpec& spec);
 
 }  // namespace cloudcr::api

@@ -1,85 +1,119 @@
 #include "predict/workload_predictor.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "stats/rng.hpp"
+#include "trace/csv.hpp"
 
 namespace cloudcr::predict {
 
-BiasedPredictor::BiasedPredictor(double factor) : factor_(factor) {
-  if (!(factor > 0.0)) {
-    throw std::invalid_argument("BiasedPredictor: factor must be > 0");
+namespace {
+
+/// The numeric argument of `bias:`/`noise:`: finite, and > 0 (or >= 0 when
+/// `zero_ok`). Errors are std::invalid_argument, like every spec error.
+double parse_arg(const std::string& what, const std::string& text,
+                 bool zero_ok) {
+  double v = 0.0;
+  try {
+    v = trace::csv::parse_double(what, text, 0);
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument(e.what());
+  }
+  if (!std::isfinite(v) || v < 0.0 || (!zero_ok && v == 0.0)) {
+    throw std::invalid_argument(what + " must be finite and " +
+                                (zero_ok ? ">= 0" : "> 0") + ", got '" + text +
+                                "'");
+  }
+  return v;
+}
+
+/// A standard normal that depends on (seed, job_id, index_in_job) alone:
+/// the key hashes into a fresh generator's seed.
+double task_normal(std::uint64_t seed, const trace::TaskRecord& task) {
+  std::uint64_t state = seed;
+  state = stats::splitmix64(state) ^ task.job_id;
+  state = stats::splitmix64(state) ^ task.index_in_job;
+  return stats::Rng(stats::splitmix64(state)).normal();
+}
+
+}  // namespace
+
+LengthModel LengthModel::parse(const std::string& text, std::uint64_t seed) {
+  const auto colon = text.find(':');
+  const std::string name = text.substr(0, colon);
+  const bool has_arg = colon != std::string::npos;
+  const std::string arg = has_arg ? text.substr(colon + 1) : std::string();
+  LengthModel model;
+  model.seed_ = seed;
+  if (name == "bias" || name == "noise") {
+    if (!has_arg) {
+      throw std::invalid_argument("length model '" + name +
+                                  "' needs an argument, e.g. '" + name +
+                                  (name == "bias" ? ":2'" : ":0.5'"));
+    }
+    const bool bias = name == "bias";
+    model.kind_ = bias ? Kind::kBias : Kind::kNoise;
+    model.arg_ = parse_arg(bias ? "bias factor" : "noise sigma", arg,
+                           /*zero_ok=*/!bias);
+    return model;
+  }
+  if (name == "exact") {
+    model.kind_ = Kind::kExact;
+  } else if (name == "regression") {
+    model.kind_ = Kind::kRegression;
+  } else if (name == "history") {
+    model.kind_ = Kind::kHistory;
+  } else {
+    throw std::invalid_argument(
+        "unknown length model '" + text +
+        "' (want exact|bias:<f>|noise:<sigma>|regression|history)");
+  }
+  if (has_arg) {
+    throw std::invalid_argument("length model '" + name +
+                                "' takes no argument");
+  }
+  return model;
+}
+
+void LengthModel::observe(const trace::TaskRecord& task) {
+  if (kind_ == Kind::kRegression) {
+    inputs_.push_back(task.input_size);
+    lengths_.push_back(task.length_s);
+  } else if (kind_ == Kind::kHistory) {
+    by_priority_[task.priority].add(task.length_s);
+    global_.add(task.length_s);
   }
 }
 
-std::string BiasedPredictor::name() const {
-  std::ostringstream os;
-  os << "biased(x" << factor_ << ')';
-  return os.str();
+void LengthModel::finalize() {
+  if (kind_ != Kind::kRegression) return;
+  fit_.emplace(inputs_, lengths_, kRegressionDegree);
+  inputs_ = {};
+  lengths_ = {};
 }
 
-double BiasedPredictor::predict(const trace::TaskRecord& task) const {
-  return task.length_s * factor_;
-}
-
-NoisyPredictor::NoisyPredictor(double sigma, std::uint64_t seed)
-    : sigma_(sigma), rng_(seed) {
-  if (sigma < 0.0) {
-    throw std::invalid_argument("NoisyPredictor: sigma must be >= 0");
+double LengthModel::predict(const trace::TaskRecord& task) const {
+  switch (kind_) {
+    case Kind::kExact:
+      break;
+    case Kind::kBias:
+      return task.length_s * arg_;
+    case Kind::kNoise:
+      return task.length_s * std::exp(arg_ * task_normal(seed_, task));
+    case Kind::kRegression:
+      if (!fit_) {
+        throw std::logic_error("LengthModel: regression predicts before "
+                               "finalize()");
+      }
+      return fit_->predict(task.input_size);
+    case Kind::kHistory: {
+      const auto it = by_priority_.find(task.priority);
+      if (it != by_priority_.end()) return it->second.mean;
+      return global_.n > 0 ? global_.mean : kHistoryDefaultS;
+    }
   }
-}
-
-std::string NoisyPredictor::name() const {
-  std::ostringstream os;
-  os << "noisy(sigma=" << sigma_ << ')';
-  return os.str();
-}
-
-double NoisyPredictor::predict(const trace::TaskRecord& task) const {
-  return task.length_s * std::exp(sigma_ * rng_.normal());
-}
-
-HistoryPredictor::HistoryPredictor(double default_s) : default_s_(default_s) {
-  if (!(default_s > 0.0)) {
-    throw std::invalid_argument("HistoryPredictor: default must be > 0");
-  }
-}
-
-void HistoryPredictor::observe(std::uint64_t key, double length_s) {
-  if (!(length_s > 0.0)) {
-    throw std::invalid_argument("HistoryPredictor: length must be > 0");
-  }
-  auto bump = [length_s](Running& r) {
-    ++r.n;
-    r.mean += (length_s - r.mean) / static_cast<double>(r.n);
-  };
-  bump(means_[key]);
-  bump(global_);
-}
-
-double HistoryPredictor::predict(const trace::TaskRecord& task) const {
-  return predict_key(static_cast<std::uint64_t>(task.priority));
-}
-
-double HistoryPredictor::predict_key(std::uint64_t key) const {
-  const auto it = means_.find(key);
-  if (it != means_.end() && it->second.n > 0) return it->second.mean;
-  if (global_.n > 0) return global_.mean;
-  return default_s_;
-}
-
-RegressionPredictor::RegressionPredictor(std::span<const double> input_sizes,
-                                         std::span<const double> lengths,
-                                         std::size_t degree, double min_s)
-    : model_(input_sizes, lengths, degree), min_s_(min_s) {
-  if (!(min_s > 0.0)) {
-    throw std::invalid_argument("RegressionPredictor: min_s must be > 0");
-  }
-}
-
-double RegressionPredictor::predict(const trace::TaskRecord& task) const {
-  return std::max(min_s_, model_.predict(task.input_size));
+  return task.length_s;
 }
 
 }  // namespace cloudcr::predict

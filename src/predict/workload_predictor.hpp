@@ -2,122 +2,103 @@
 
 /// \file workload_predictor.hpp
 /// \brief Task workload (Te) prediction, as performed by the paper's job
-/// parser before scheduling.
+/// parser before scheduling: the `length=` scenario key.
 ///
 /// The checkpoint planner consumes a *predicted* productive length; the
 /// paper names two practical sources — polynomial regression on the task's
 /// input parameters [22] and estimation from historical runs of the same
-/// service [25]. Both are provided, plus exact/noisy oracles for ablation.
-/// Formula (3) is remarkably tolerant of misprediction because the optimal
-/// interval scales with sqrt(Te): a 2x length error moves the interval by
-/// only ~41% (see bench_ablation_prediction).
+/// service [25]. Both are provided, plus exact/biased/noisy oracles for
+/// ablation. Formula (3) is remarkably tolerant of misprediction because the
+/// optimal interval scales with sqrt(Te): a 2x length error moves the
+/// interval by only ~41% (see the abl02 experiment).
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <span>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "predict/polynomial.hpp"
-#include "stats/rng.hpp"
 #include "trace/records.hpp"
 
 namespace cloudcr::predict {
 
-/// Estimates a task's productive length before it runs.
-class WorkloadPredictor {
+/// The length model named by a `length=` value:
+///
+///   exact            the task's true Te (the default everywhere)
+///   bias:<f>         Te * f, f finite and > 0 (systematic misprediction)
+///   noise:<sigma>    Te * exp(sigma * z), sigma finite and >= 0, where z is
+///                    a standard normal drawn from (seed, job_id,
+///                    index_in_job) alone — the same task gets the same
+///                    prediction at every call, in every instance
+///   regression       degree-2 polynomial in the task's input size, fitted
+///                    on the estimation view [22]
+///   history          mean observed length of the task's priority class
+///                    (global mean, then 600 s, as fallbacks) [25]
+///
+/// A plain value: parse() it, observe() the estimation view's tasks when
+/// learns(), finalize() once, then predict() is pure.
+class LengthModel {
  public:
-  virtual ~WorkloadPredictor() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Predicted Te (s); must be positive.
-  [[nodiscard]] virtual double predict(const trace::TaskRecord& task) const = 0;
-};
+  enum class Kind : std::uint8_t {
+    kExact,
+    kBias,
+    kNoise,
+    kRegression,
+    kHistory
+  };
 
-/// Oracle: returns the exact length (the default everywhere).
-class ExactPredictor final : public WorkloadPredictor {
- public:
-  [[nodiscard]] std::string name() const override { return "exact"; }
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override {
-    return task.length_s;
+  /// The only regression degree in use.
+  static constexpr std::size_t kRegressionDegree = 2;
+  /// history's prediction before it has observed anything.
+  static constexpr double kHistoryDefaultS = 600.0;
+
+  LengthModel() = default;  ///< exact
+
+  /// Parses a `length=` value; `seed` keys the noise draws (a run passes its
+  /// sim_seed). Throws std::invalid_argument on an unknown kind or an
+  /// out-of-domain argument.
+  static LengthModel parse(const std::string& text, std::uint64_t seed = 0);
+
+  [[nodiscard]] Kind kind() const noexcept { return kind_; }
+  [[nodiscard]] bool exact() const noexcept { return kind_ == Kind::kExact; }
+
+  /// True for the kinds that train on the estimation view (regression,
+  /// history).
+  [[nodiscard]] bool learns() const noexcept {
+    return kind_ == Kind::kRegression || kind_ == Kind::kHistory;
   }
-};
 
-/// Multiplies the exact length by a fixed factor — the ablation knob for
-/// systematic over/under-prediction.
-class BiasedPredictor final : public WorkloadPredictor {
- public:
-  explicit BiasedPredictor(double factor);
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
+  /// One estimation-view task; a no-op unless learns().
+  void observe(const trace::TaskRecord& task);
 
- private:
-  double factor_;
-};
+  /// Ends training: fits the regression (throwing std::invalid_argument on
+  /// fewer than three observations or a singular fit) and drops its
+  /// training rows. A no-op for every other kind.
+  void finalize();
 
-/// Multiplies the exact length by lognormal noise with the given sigma —
-/// models an unbiased but imperfect parser.
-class NoisyPredictor final : public WorkloadPredictor {
- public:
-  NoisyPredictor(double sigma, std::uint64_t seed);
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
-
- private:
-  double sigma_;
-  mutable stats::Rng rng_;
-};
-
-/// History-based estimator [25]: per key (e.g. the service the task
-/// instantiates) keep a running mean of completed lengths and predict it for
-/// the next instance. Falls back to the global mean, then to `default_s`.
-class HistoryPredictor final : public WorkloadPredictor {
- public:
-  explicit HistoryPredictor(double default_s = 600.0);
-
-  /// Records a completed run of `key` with productive length `length_s`.
-  void observe(std::uint64_t key, double length_s);
-
-  [[nodiscard]] std::string name() const override { return "history"; }
-  /// Keys tasks by their job's id modulo nothing — callers usually wrap
-  /// this class and pass their own key; this overload keys on priority as a
-  /// coarse service class.
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
-  /// Keyed prediction for callers with a real service identifier.
-  [[nodiscard]] double predict_key(std::uint64_t key) const;
-
-  [[nodiscard]] std::size_t observed_keys() const noexcept {
-    return means_.size();
-  }
+  /// Predicted Te (s). Pure; a regression must be finalized first.
+  [[nodiscard]] double predict(const trace::TaskRecord& task) const;
 
  private:
   struct Running {
     double mean = 0.0;
     std::size_t n = 0;
+    void add(double x) {
+      ++n;
+      mean += (x - mean) / static_cast<double>(n);
+    }
   };
-  double default_s_;
-  std::map<std::uint64_t, Running> means_;
+
+  Kind kind_ = Kind::kExact;
+  double arg_ = 1.0;  ///< bias factor or noise sigma
+  std::uint64_t seed_ = 0;
+  std::vector<double> inputs_;   ///< regression training rows
+  std::vector<double> lengths_;  ///< (released by finalize)
+  std::optional<PolynomialRegression> fit_;
+  std::map<int, Running> by_priority_;  ///< history
   Running global_;
-};
-
-/// Regression-based estimator [22]: learns length = f(input size) from
-/// (input, length) training pairs and predicts from the task's input size.
-class RegressionPredictor final : public WorkloadPredictor {
- public:
-  /// Fits a polynomial of the given degree to the training set. Predictions
-  /// are clamped to [min_s, inf).
-  RegressionPredictor(std::span<const double> input_sizes,
-                      std::span<const double> lengths, std::size_t degree,
-                      double min_s = 1.0);
-
-  [[nodiscard]] std::string name() const override { return "regression"; }
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
-  [[nodiscard]] const PolynomialRegression& model() const noexcept {
-    return model_;
-  }
-
- private:
-  PolynomialRegression model_;
-  double min_s_;
 };
 
 }  // namespace cloudcr::predict

@@ -104,6 +104,10 @@ struct Experiment {
   /// Cheap enough for the CI fast subset (`repro_report --fast`).
   bool fast = false;
 
+  /// Runs only when `repro_report --only` names it: never part of the
+  /// default or the --fast selection (the ablations).
+  bool on_request = false;
+
   /// Scenario grid run through api::BatchRunner. Identical TraceSpecs are
   /// generated once across the *whole* selected report run, not just
   /// within one entry.

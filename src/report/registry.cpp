@@ -28,6 +28,7 @@ ExperimentRegistry::ExperimentRegistry() {
   register_storage_experiments(entries_);
   register_sim_experiments(entries_);
   register_sched_experiments(entries_);
+  register_ablation_experiments(entries_);
   // Paper order for every consumer (reports, docs, --list).
   std::stable_sort(entries_.begin(), entries_.end(),
                    [](const Experiment& a, const Experiment& b) {

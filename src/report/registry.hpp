@@ -11,6 +11,8 @@
 ///   experiments_trace.cpp     Figures 4, 5, 8, Table 7 (trace statistics)
 ///   experiments_sim.cpp       Figures 9-14, Table 6 (full replays)
 ///   experiments_sched.cpp     sched01/sched02 (admission-stage extensions)
+///   experiments_ablation.cpp  abl01/abl02 (design and length-prediction
+///                             ablations; run on request only)
 ///
 /// The registry is immutable after construction: repro_report, the
 /// generated docs, and the drift gate all see the same entries.
@@ -49,5 +51,6 @@ void register_trace_experiments(std::vector<Experiment>& out);
 void register_storage_experiments(std::vector<Experiment>& out);
 void register_sim_experiments(std::vector<Experiment>& out);
 void register_sched_experiments(std::vector<Experiment>& out);
+void register_ablation_experiments(std::vector<Experiment>& out);
 
 }  // namespace cloudcr::report

@@ -190,12 +190,14 @@ void write_experiments_doc(std::ostream& os) {
         "(`--verbose` prints each entry's full\ntables and series). "
         "Expected values are checked in at\n"
         "`bench/REPRO_expected.baseline.json`; `fast` entries form the CI "
-        "subset\n(`repro_report --fast`).\n\n";
+        "subset\n(`repro_report --fast`), and `on request` entries run only "
+        "when `--only`\nnames them.\n\n";
   os << "| id | paper ref | scenarios | fast | title |\n";
   os << "|---|---|---|---|---|\n";
   for (const auto& e : registry.entries()) {
     os << "| [" << e.id << "](#" << e.id << ") | " << e.paper_ref << " | "
-       << e.specs.size() << " | " << (e.fast ? "yes" : "") << " | "
+       << e.specs.size() << " | "
+       << (e.on_request ? "on request" : (e.fast ? "yes" : "")) << " | "
        << e.title << " |\n";
   }
   os << "\n";
@@ -208,7 +210,9 @@ void write_experiments_doc(std::ostream& os) {
       os << "Scenarios:\n\n";
       for (const auto& spec : e.specs) {
         os << "- `" << spec.name << "`: policy `" << spec.policy
-           << "`, predictor `" << spec.predictor << "`\n";
+           << "`, predictor `" << spec.predictor << "`";
+        if (spec.length != "exact") os << ", length `" << spec.length << "`";
+        os << "\n";
       }
       os << "\n";
     }

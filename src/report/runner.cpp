@@ -49,7 +49,7 @@ std::vector<const Experiment*> select_experiments(
     return selected;
   }
   for (const auto& e : registry.entries()) {
-    if (options.fast_only && !e.fast) continue;
+    if (e.on_request || (options.fast_only && !e.fast)) continue;
     selected.push_back(&e);
   }
   return selected;

@@ -25,7 +25,7 @@
 namespace cloudcr::report {
 
 struct ReportOptions {
-  /// Experiment ids to run (empty = all registry entries).
+  /// Experiment ids to run (empty = every entry not marked on_request).
   std::vector<std::string> only;
 
   /// Restrict to entries flagged Experiment::fast (the CI subset).

@@ -3,10 +3,10 @@
 /// \file scenarios.hpp
 /// \brief Shared scenario construction for the paper's experiment matrix.
 ///
-/// Every replay experiment (registry entries and ablation benches alike)
-/// builds its ScenarioSpecs from the same skeleton: the paper's deployed
-/// configuration (checkpoints on DM-NFS, forced shared placement) over the
-/// pinned week-/day-scale trace specs below.
+/// Every replay experiment (the paper's entries and the abl01/abl02
+/// ablations alike) builds its ScenarioSpecs from the same skeleton: the
+/// paper's deployed configuration (checkpoints on DM-NFS, forced shared
+/// placement) over the pinned week-/day-scale trace specs below.
 ///
 /// Scale note: the paper replays a one-month Google trace (~300k jobs). The
 /// reproduction runs each experiment at reduced but statistically stable
@@ -71,7 +71,7 @@ inline api::TraceSpec day_trace_spec(bool priority_change = false) {
 /// DM-NFS, the design whose worked examples price the checkpoint cost in the
 /// shared-disk regime (C ~ 1-2 s) and whose migration-type-B restarts
 /// require shared placement. The local-vs-shared trade-off itself is ablated
-/// in bench_ablation_design.
+/// in the abl01 experiment.
 inline api::ScenarioSpec scenario(
     std::string name, api::TraceSpec trace, std::string policy,
     std::string predictor,

@@ -8,6 +8,7 @@
 
 #include "core/controller.hpp"
 #include "core/policy.hpp"
+#include "predict/workload_predictor.hpp"
 #include "sched/policy.hpp"
 #include "sim/cluster.hpp"
 #include "storage/calibration.hpp"
@@ -48,11 +49,12 @@ struct SimConfig {
   /// pending queue (the paper's polling thread; 0 = instant detection).
   double detection_delay_s = 0.0;
 
-  /// Optional workload predictor: the productive length the *planner* sees
-  /// (the paper's job parser predicts Te before scheduling). Null = exact.
-  /// Only checkpoint planning consumes the prediction; the task still
-  /// completes at its true length.
-  std::function<double(const trace::TaskRecord&)> length_predictor;
+  /// Workload-length model: the productive length the planner and the
+  /// scheduler's runtime estimate see (the paper's job parser predicts Te
+  /// before scheduling). Exact by default. Only planning consumes the
+  /// prediction; the task still completes at its true length. A learning
+  /// model must arrive trained and finalized.
+  predict::LengthModel length_model;
 
   /// Optional admission scheduler (borrowed, must outlive the run; the
   /// ScenarioRunner owns it). Null — or a pass-through policy like fcfs —

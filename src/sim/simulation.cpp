@@ -594,12 +594,8 @@ void Simulation::init_controller(std::size_t task_idx) {
   }
   // The planner sees the parser's *predicted* length; execution still ends
   // at the true length.
-  const double planned_length =
-      config_.length_predictor
-          ? std::max(1.0, config_.length_predictor(rec))
-          : rec.length_s;
-  tasks_.controller[task_idx].emplace(policy, planned_length, rec.memory_mb,
-                                      stats, config_.adaptation,
+  tasks_.controller[task_idx].emplace(policy, planned_length(rec),
+                                      rec.memory_mb, stats, config_.adaptation,
                                       config_.shared_kind, forced);
   storage::StorageBackend* backend =
       backend_for(tasks_.controller[task_idx]->storage_decision().device);
@@ -1121,9 +1117,7 @@ void Simulation::sched_enqueue(std::uint32_t job_slot) {
   double estimate = 0.0;
   for (std::size_t i = 0; i < job.n_tasks; ++i) {
     const trace::TaskRecord& rec = job.task_recs[i];
-    const double len = config_.length_predictor
-                           ? std::max(1.0, config_.length_predictor(rec))
-                           : rec.length_s;
+    const double len = planned_length(rec);
     if (job.structure == trace::JobStructure::kBagOfTasks) {
       demand += rec.memory_mb;
       estimate = std::max(estimate, len);

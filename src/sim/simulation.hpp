@@ -28,6 +28,7 @@
 ///  - all buffers come from a ReplayWorkspace that callers may reuse across
 ///    runs, so steady-state replay performs no heap allocation.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -334,7 +335,7 @@ class Simulation {
   // Active only when config_.scheduler is a non-pass-through policy; the
   // fcfs/default path never touches any of this (golden bit-identity).
   /// Appends the job to the scheduler queue with its aggregate demand and
-  /// runtime estimate (through the length predictor when configured).
+  /// runtime estimate (through the length model).
   void sched_enqueue(std::uint32_t job_slot);
   /// Re-entrancy-guarded scheduler round: runs decide() and applies it.
   void sched_pump();
@@ -401,6 +402,14 @@ class Simulation {
   void finish_job(std::uint32_t job_slot);
   [[nodiscard]] storage::StorageBackend* backend_for(storage::DeviceKind kind);
   void init_controller(std::size_t task_idx);
+  /// The Te that planning sees: the true length under length=exact, else
+  /// the length model's prediction floored at 1 s. Called once per task by
+  /// init_controller and by sched_enqueue, so both see the same value.
+  [[nodiscard]] double planned_length(const trace::TaskRecord& rec) const {
+    return config_.length_model.exact()
+               ? rec.length_s
+               : std::max(1.0, config_.length_model.predict(rec));
+  }
 
   SimConfig config_;
   const core::CheckpointPolicy& policy_;

@@ -76,6 +76,17 @@ std::vector<ScenarioSpec> property_grid() {
   f.history = small_trace(606060);
   specs.push_back(f);
 
+  // Noisy length predictions feed both the backfill estimate and the
+  // planner; each draw is a pure function of the task, so the thread
+  // schedule cannot reach it.
+  ScenarioSpec g = a;
+  g.name = "noisy_length_backfill";
+  g.length = "noise:0.5";
+  g.sched = "backfill:easy";
+  g.cluster.hosts = 4;
+  g.cluster.vms_per_host = 2;
+  specs.push_back(g);
+
   return specs;
 }
 
@@ -192,10 +203,10 @@ TEST(BatchRunner, ItemsAndSpecsShareOneTracePerKey) {
   spec.trace = shared;
   spec.policy = "formula3";
   RunHooks hooks;
-  hooks.length_predictor = [&](const trace::TaskRecord& rec) {
+  hooks.predictor_override = [&](const trace::TaskRecord& rec, int) {
     const std::lock_guard<std::mutex> lock(mutex);
     replayed.insert(&rec);
-    return rec.length_s;
+    return core::FailureStats{1.0, 100.0};
   };
 
   for (std::size_t threads : {1u, 3u}) {
@@ -281,9 +292,9 @@ TEST(ScenarioRunner, HooksReplaceGeneratedTraceAndPredictor) {
   EXPECT_EQ(artifact.trace_jobs, 1u);
 }
 
-TEST(ScenarioRunner, LengthPredictorHookReachesThePlanner) {
-  // With fixed 100 s intervals and a planner that believes the task is only
-  // 50 s long, no checkpoint is ever scheduled.
+TEST(ScenarioRunner, LengthKeyReachesThePlanner) {
+  // With fixed 100 s intervals and a planner that believes the 400 s task
+  // is only 50 s long (length=bias:0.125), no checkpoint is ever scheduled.
   ScenarioSpec spec;
   spec.policy = "fixed:100";
   spec.placement = sim::PlacementMode::kForceShared;
@@ -309,7 +320,7 @@ TEST(ScenarioRunner, LengthPredictorHookReachesThePlanner) {
   ASSERT_EQ(baseline.result.outcomes.size(), 1u);
   EXPECT_GT(baseline.result.outcomes[0].checkpoints, 0u);
 
-  hooks.length_predictor = [](const trace::TaskRecord&) { return 50.0; };
+  spec.length = "bias:0.125";
   const auto clipped = ScenarioRunner(spec).run(hooks);
   ASSERT_EQ(clipped.result.outcomes.size(), 1u);
   EXPECT_EQ(clipped.result.outcomes[0].checkpoints, 0u);

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "api/scenario.hpp"
 
@@ -24,6 +26,7 @@ ScenarioSpec exotic_spec() {
   spec.trace.replay_max_task_length_s = 21600.0;
   spec.policy = "fixed:45.5";
   spec.predictor = "grouped:1000";
+  spec.length = "noise:0.25";
   spec.estimation = EstimationSource::kHistory;
   spec.history.seed = 99;
   spec.history.horizon_s = 86400.0;
@@ -53,11 +56,49 @@ TEST(ScenarioSerialization, RoundTripsEveryField) {
   // vacuous pass.
   EXPECT_EQ(parsed.name, "fig14_dynamic");
   EXPECT_EQ(parsed.policy, "fixed:45.5");
+  EXPECT_EQ(parsed.length, "noise:0.25");
   EXPECT_EQ(parsed.estimation, EstimationSource::kHistory);
   EXPECT_EQ(parsed.history.seed, 99u);
   EXPECT_DOUBLE_EQ(parsed.history.replay_max_task_length_s, 4000.0);
   EXPECT_EQ(parsed.placement, sim::PlacementMode::kForceLocal);
   EXPECT_EQ(parsed.cluster.hosts, 16u);
+}
+
+TEST(ScenarioSerialization, LengthLineOnlyOffTheDefault) {
+  // Exact writes no line, so every spec that predates the key keeps its
+  // bytes (and its artifact text and service cache key).
+  const ScenarioSpec plain;
+  EXPECT_EQ(serialize(plain).find("length="), std::string::npos);
+  EXPECT_EQ(parse_scenario("length=exact\n"), plain);
+  ScenarioSpec biased;
+  biased.length = "bias:2";
+  const std::string text = serialize(biased);
+  EXPECT_NE(text.find("\nsched=fcfs\nlength=bias:2\nestimation="),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(parse_scenario(text), biased);
+  EXPECT_FALSE(parse_scenario(text) == plain);
+}
+
+TEST(ScenarioSerialization, RejectsBadLengthNamingKeyAndValue) {
+  for (const std::string value :
+       {"bias:0", "bias:-2", "bias:inf", "bias:nan", "noise:-0.5",
+        "noise:inf", "regression:2", "oracle", "bias"}) {
+    SCOPED_TRACE(value);
+    try {
+      (void)parse_scenario("length=" + value + "\n");
+      ADD_FAILURE() << "bad length was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario key 'length' = '" +
+                                           value + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const std::string value :
+       {"exact", "bias:0.25", "noise:0", "noise:1", "regression", "history"}) {
+    EXPECT_EQ(parse_scenario("length=" + value + "\n").length, value);
+  }
 }
 
 TEST(ScenarioSerialization, RoundTripsTraceSource) {
@@ -162,6 +203,48 @@ TEST(ScenarioSerialization, RejectsNaNNamingKeyAndValue) {
                              .history.replay_max_task_length_s));
 }
 
+// A non-positive horizon, rate, length limit or VM size (or an empty
+// cluster) has no meaning; it once surfaced as an unnamed generator or
+// cluster error, or — for the replay length limit — as an empty ok:true
+// run.
+TEST(ScenarioSerialization, RejectsNonPositiveDomainValuesNamingKeyAndValue) {
+  for (const std::string key :
+       {"trace.horizon_s", "trace.arrival_rate",
+        "trace.replay_max_task_length_s", "history.horizon_s",
+        "history.arrival_rate", "history.replay_max_task_length_s",
+        "cluster.vm_memory_mb"}) {
+    for (const std::string value : {"0", "-0", "-5", "-1e-300"}) {
+      SCOPED_TRACE(key + "=" + value);
+      try {
+        (void)parse_scenario(key + "=" + value + "\n");
+        ADD_FAILURE() << "non-positive value was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("scenario key '" + key +
+                                             "' = '" + value + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW((void)parse_scenario("trace.replay_max_task_length_s=-inf"),
+               std::invalid_argument);
+  for (const std::string key : {"cluster.hosts", "cluster.vms_per_host"}) {
+    SCOPED_TRACE(key);
+    try {
+      (void)parse_scenario(key + "=0\n");
+      ADD_FAILURE() << "zero count was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario key '" + key +
+                                           "' = '0'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(parse_scenario(key + "=1\n").cluster.hosts,
+              key == "cluster.hosts" ? 1u : sim::ClusterConfig{}.hosts);
+  }
+  EXPECT_EQ(parse_scenario("trace.horizon_s=1e-3").trace.horizon_s, 1e-3);
+}
+
 // A negative noise magnitude or detection delay has no meaning; it once
 // replayed as 0 while caching under its own key.
 TEST(ScenarioSerialization, RejectsNegativeNoiseAndDelayNamingKeyAndValue) {
@@ -236,6 +319,9 @@ TEST(ScenarioLowering, SimConfigCarriesRunFields) {
   EXPECT_DOUBLE_EQ(cfg.detection_delay_s, spec.detection_delay_s);
   EXPECT_EQ(cfg.cluster.hosts, spec.cluster.hosts);
   EXPECT_EQ(cfg.cluster.vms_per_host, spec.cluster.vms_per_host);
+  EXPECT_EQ(cfg.length_model.kind(), predict::LengthModel::Kind::kNoise);
+  EXPECT_TRUE(ScenarioSpec{}.length == "exact" &&
+              to_sim_config(ScenarioSpec{}).length_model.exact());
 }
 
 }  // namespace

@@ -44,14 +44,27 @@ TEST(ExperimentRegistry, IdsAreUniqueSortedAndFindable) {
 
 TEST(ExperimentRegistry, CoversThePaperMatrix) {
   // The paper's reproduced figures and tables, one entry each, plus the
-  // repo's scheduling-stage extension entries.
-  for (const char* id :
-       {"fig04", "fig05", "fig07", "fig08", "fig09", "fig10", "fig11",
-        "fig12", "fig13", "fig14", "sched01", "sched02", "tab02", "tab03",
-        "tab04", "tab05", "tab06", "tab07"}) {
-    EXPECT_NE(registry().find(id), nullptr) << "missing entry " << id;
+  // repo's scheduling-stage extension entries: the default selection.
+  const std::vector<std::string> matrix = {
+      "fig04", "fig05",   "fig07",   "fig08", "fig09", "fig10",
+      "fig11", "fig12",   "fig13",   "fig14", "sched01", "sched02",
+      "tab02", "tab03",   "tab04",   "tab05", "tab06", "tab07"};
+  std::vector<std::string> selected;
+  for (const auto* e : report::select_experiments({})) {
+    selected.push_back(e->id);
   }
-  EXPECT_EQ(registry().entries().size(), 18u);
+  EXPECT_EQ(selected, matrix);
+  // The ablations run only when --only names them.
+  for (const char* id : {"abl01", "abl02"}) {
+    const auto* e = registry().find(id);
+    ASSERT_NE(e, nullptr) << "missing entry " << id;
+    EXPECT_TRUE(e->on_request) << id;
+    EXPECT_FALSE(e->fast) << id;
+    report::ReportOptions only;
+    only.only = {id};
+    EXPECT_EQ(report::select_experiments(only).size(), 1u) << id;
+  }
+  EXPECT_EQ(registry().entries().size(), matrix.size() + 2);
 }
 
 TEST(ExperimentRegistry, EntriesAreSelfDescribing) {

@@ -226,7 +226,7 @@ TEST(SimulationPredictorHook, UnderPredictionStopsCheckpointingEarly) {
   const core::FixedIntervalPolicy policy(100.0);
   SimConfig cfg;
   // Planner believes the task is only 350 s long.
-  cfg.length_predictor = [](const trace::TaskRecord&) { return 350.0; };
+  cfg.length_model = predict::LengthModel::parse("bias:0.35");
   Simulation sim(cfg, policy, stats_of(1.0, 100.0));
   const auto res = replay(sim, trace);
   ASSERT_EQ(res.outcomes.size(), 1u);
@@ -235,18 +235,31 @@ TEST(SimulationPredictorHook, UnderPredictionStopsCheckpointingEarly) {
   EXPECT_EQ(res.outcomes.front().checkpoints, 3u);
 }
 
+TEST(SimulationPredictorHook, PredictionIsFlooredAtOneSecond) {
+  // bias:1e-6 predicts 1 ms for a 1000 s task; the planner sees the 1 s
+  // floor, which still leaves room for the checkpoint at 0.5 s.
+  const auto trace = single_task_trace({}, 1000.0);
+  const core::FixedIntervalPolicy policy(0.5);
+  SimConfig cfg;
+  cfg.length_model = predict::LengthModel::parse("bias:1e-6");
+  Simulation sim(cfg, policy, stats_of(1.0, 100.0));
+  const auto res = replay(sim, trace);
+  ASSERT_EQ(res.outcomes.size(), 1u);
+  EXPECT_EQ(res.outcomes.front().checkpoints, 1u);
+}
+
 TEST(SimulationPredictorHook, ExactPredictorMatchesDefault) {
   const auto mk = [] { return single_task_trace({250.0}, 600.0); };
   const core::MnofPolicy policy;
-  SimConfig with_hook;
-  with_hook.length_predictor = [](const trace::TaskRecord& task) {
-    return task.length_s;
-  };
-  SimConfig without_hook;
+  // bias:1 takes the prediction path (model call, 1 s floor) yet must plan
+  // exactly what the default exact model plans.
+  SimConfig with_model;
+  with_model.length_model = predict::LengthModel::parse("bias:1");
+  SimConfig without_model;
   const auto r1 =
-      replay(Simulation(with_hook, policy, stats_of(1.5, 200.0)), mk());
+      replay(Simulation(with_model, policy, stats_of(1.5, 200.0)), mk());
   const auto r2 =
-      replay(Simulation(without_hook, policy, stats_of(1.5, 200.0)), mk());
+      replay(Simulation(without_model, policy, stats_of(1.5, 200.0)), mk());
   ASSERT_EQ(r1.outcomes.size(), 1u);
   ASSERT_EQ(r2.outcomes.size(), 1u);
   EXPECT_DOUBLE_EQ(r1.outcomes[0].wallclock_s, r2.outcomes[0].wallclock_s);

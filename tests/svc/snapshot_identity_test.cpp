@@ -4,8 +4,9 @@
 // artifact byte-identical (including every per-job outcome row) to a plain
 // replay from time zero. The grid forks at five seeded-random points per
 // scenario across every built-in source family (synthetic generator,
-// native csv, slurm table), three simulation seeds, and all three
-// scheduler families (fcfs, backfill:easy, preempt:ckpt), so the snapshot
+// native csv, slurm table), three simulation seeds, all three scheduler
+// families (fcfs, backfill:easy, preempt:ckpt), and noisy length
+// predictions (length=noise:0.5), so the snapshot
 // has to faithfully carry the event queue, task/controller state, RNG
 // stream, storage-backend occupancy, and scheduler queue through the fork.
 //
@@ -85,6 +86,7 @@ struct SourcePoint {
 struct GridParam {
   std::uint64_t sim_seed;
   std::string sched;
+  std::string length = "exact";  ///< ScenarioSpec::length
 };
 
 std::vector<SourcePoint> source_points(std::uint64_t sim_seed) {
@@ -100,6 +102,7 @@ api::ScenarioSpec make_spec(const SourcePoint& point, const GridParam& p) {
   spec.name = "snap_" + point.tag + "_s" + std::to_string(p.sim_seed);
   spec.policy = "formula3";
   spec.sched = p.sched;
+  spec.length = p.length;
   spec.sim_seed = p.sim_seed;
   // A small cluster so the backfill/preempt points actually queue work.
   spec.cluster.hosts = 4;
@@ -153,13 +156,18 @@ INSTANTIATE_TEST_SUITE_P(
                     GridParam{13u, "backfill:easy"},
                     GridParam{11u, "preempt:ckpt"},
                     GridParam{12u, "preempt:ckpt"},
-                    GridParam{13u, "preempt:ckpt"}),
+                    GridParam{13u, "preempt:ckpt"},
+                    // Noisy lengths reach both the backfill estimate and
+                    // the planner; no draw position lives in the snapshot.
+                    GridParam{12u, "backfill:easy", "noise:0.5"}),
     [](const testing::TestParamInfo<GridParam>& info) {
-      std::string sched = info.param.sched;
-      for (char& c : sched) {
-        if (c == ':') c = '_';
+      std::string name = info.param.sched + "_seed" +
+                         std::to_string(info.param.sim_seed);
+      if (info.param.length != "exact") name += "_" + info.param.length;
+      for (char& c : name) {
+        if (c == ':' || c == '.') c = '_';
       }
-      return sched + "_seed" + std::to_string(info.param.sim_seed);
+      return name;
     });
 
 // An override applied at fork_at=0 covers the whole run, so the resumed

@@ -1,4 +1,4 @@
-// Fuzz-style hardening of the scenario grammar the service trusts: 10k
+// Fuzz-style hardening of the scenario grammar the service trusts: 15k
 // seeded-random key=value soups — valid keys in shuffled order, duplicated
 // keys, truncated values, NaN spellings, junk keys, junk bytes, comments,
 // blanks — pushed
@@ -36,6 +36,7 @@ const std::vector<std::string>& scalar_keys() {
     std::vector<std::string> out = {
         "name",       "policy",
         "predictor",  "sched",
+        "length",
         "estimation", "placement",
         "adaptation", "shared_device",
         "storage_noise",
@@ -76,6 +77,11 @@ std::string plausible_value(const std::string& key, std::mt19937_64& rng) {
     return coin(rng) != 0 ? "true" : "false";
   }
   if (key == "obs") return "";
+  if (key == "length") {
+    const char* options[] = {"exact", "bias:2", "noise:0.5", "regression",
+                             "history"};
+    return options[std::uniform_int_distribution<int>(0, 4)(rng)];
+  }
   if (key == "name" || key == "policy" || key == "predictor" ||
       key == "sched" || key.find("source") != std::string::npos) {
     // Free-form strings: any text is valid as long as escapes are clean.
@@ -146,10 +152,13 @@ std::string make_soup(std::mt19937_64& rng) {
   return soup;
 }
 
-TEST(SpecFuzzTest, TenThousandSoupsRoundTripOrThrowNamedErrors) {
+TEST(SpecFuzzTest, FifteenThousandSoupsRoundTripOrThrowNamedErrors) {
   std::size_t parsed = 0;
   std::size_t rejected = 0;
-  for (std::uint64_t i = 0; i < 10000; ++i) {
+  // 15k soups: the parser rejects non-positive horizons, rates, length
+  // limits and cluster sizes, so the plausible "0" fails those keys, and
+  // 15k keeps well over 1000 soups parseable.
+  for (std::uint64_t i = 0; i < 15000; ++i) {
     std::mt19937_64 rng(0xC0FFEEull ^ (i * 0x9E3779B97F4A7C15ull));
     const std::string soup = make_soup(rng);
     SCOPED_TRACE("iteration " + std::to_string(i) + " soup:\n" + soup);
